@@ -60,6 +60,23 @@ fn sync_training_is_deterministic_per_seed() {
     assert_eq!(a.policy_updates, b.policy_updates);
 }
 
+/// Same-seed golden for the synchronous engine: four minibatches per round
+/// under `Sync { n: 2 }` are two full waves, so any refactor of the sync
+/// aggregation path must reproduce these weights bit-for-bit.
+#[test]
+fn sync_full_waves_match_golden_checksum() {
+    let mut cfg = TrainConfig::test_tiny(EnvId::ChainMdp, 11);
+    cfg.learner_mode = LearnerMode::Sync { n: 2 };
+    let res = train(&cfg);
+    assert_eq!(res.grads_aggregated, 12, "3 rounds x 2 full waves x 2");
+    assert_eq!(res.policy_updates, 6);
+    assert_eq!(
+        stellaris::core::snapshot_checksum(&res.final_snapshot),
+        0xe00d_9bfd_2d3a_bdd0,
+        "sync Sync{{n:2}} weights drifted from the pinned golden"
+    );
+}
+
 #[test]
 fn different_seeds_differ() {
     let mut cfg1 = TrainConfig::test_tiny(EnvId::PointMass, 21);

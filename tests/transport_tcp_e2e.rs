@@ -254,6 +254,23 @@ fn fault_free_remote_run_matches_local_accounting() {
     }
 }
 
+/// Same-seed golden for the socket fleet: a fault-free two-round run must
+/// reproduce these weights bit-for-bit across refactors of the parent-side
+/// aggregation.
+#[test]
+fn fault_free_fleet_matches_golden_checksum() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    let report = fleet(tiny_cfg(11, 2), WireTransport::Tcp)
+        .run()
+        .expect("fleet run");
+    assert_eq!(report.final_version, report.grads_aggregated);
+    assert_eq!(
+        report.final_checksum, 0x4d0f_34f1_abaf_1a05,
+        "fleet weights drifted from the pinned golden (version {})",
+        report.final_version
+    );
+}
+
 /// The same fleet over unix-domain sockets.
 #[cfg(unix)]
 #[test]
