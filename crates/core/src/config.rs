@@ -48,6 +48,15 @@ impl Algo {
             Algo::Impala(c) => c.gamma,
         }
     }
+
+    /// GAE `λ` the data loader uses: PPO's configured value, 0.95 for
+    /// IMPACT and IMPALA.
+    pub fn gae_lambda(&self) -> f32 {
+        match self {
+            Algo::Ppo(c) => c.gae_lambda,
+            Algo::Impact(_) | Algo::Impala(_) => 0.95,
+        }
+    }
 }
 
 /// How learners are hosted and how the job is billed.
@@ -89,6 +98,17 @@ impl LearnerMode {
             LearnerMode::Async { .. } => "async",
             LearnerMode::Sync { .. } => "sync",
             LearnerMode::Single => "single",
+        }
+    }
+
+    /// The aggregation rule the parameter server runs for this topology:
+    /// a synchronous group of `n` is a `FullSync` quorum of `n` (at least
+    /// one), a single learner a quorum of one.
+    pub fn rule(&self) -> AggregationRule {
+        match self {
+            LearnerMode::Async { rule } => rule.clone(),
+            LearnerMode::Sync { n } => AggregationRule::FullSync { n: (*n).max(1) },
+            LearnerMode::Single => AggregationRule::FullSync { n: 1 },
         }
     }
 }

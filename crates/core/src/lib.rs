@@ -7,7 +7,7 @@
 //! * **importance-sampling truncation with a global view** (§V-A, Eq. 2) —
 //!   [`truncation::RatioBoard`];
 //! * **staleness-aware gradient aggregation** (§V-C, Eq. 3 & 4) —
-//!   [`staleness::StalenessSchedule`], [`parameter::ParameterServer`];
+//!   [`staleness::StalenessSchedule`], [`parameter::ShardedParameterServer`];
 //! * **on-demand serverless learner orchestration** (§V-B) —
 //!   [`orchestrator::train`], with the GPU data loader, hierarchical data
 //!   passing through the distributed cache, and the baseline aggregation

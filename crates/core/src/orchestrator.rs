@@ -13,6 +13,12 @@
 //! The synchronous path implements the serverful baselines (RLlib-style
 //! multi-learner data parallelism, single-learner MinionsRL) with the same
 //! components in lockstep.
+//!
+//! Both paths — and the socket fleet in `remote` — aggregate on one
+//! [`ShardedParameterServer`] built by `build_server`. Async learners hand
+//! their gradients, as the router delivered them, straight to its lanes.
+//! A sync wave that comes up short of its quorum commits what arrived on
+//! the same server (`commit_pending`), so optimizer state is never reset.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -33,12 +39,12 @@ use stellaris_serverless::{
 };
 use stellaris_telemetry as telemetry;
 
-use crate::aggregation::{AggregationRule, SspThrottle};
+use crate::aggregation::SspThrottle;
 use crate::autoscale::LearnerAutoscaler;
 use crate::config::{Algo, Deployment, LearnerMode, TrainConfig};
 use crate::messages::GradientMsg;
 use crate::metrics::{Component, TimerReport, Timers, TrainRow};
-use crate::parameter::{ParameterServer, ShardedParameterServer};
+use crate::parameter::ShardedParameterServer;
 use crate::transport::{Placement, Router};
 use crate::truncation::RatioBoard;
 
@@ -123,7 +129,7 @@ pub(crate) fn build_policy(cfg: &TrainConfig) -> PolicyNet {
 /// The canonical starting policy: fresh weights, or the configured resume
 /// snapshot loaded on top (workers still start from `build_policy` and pull
 /// the canonical weights through the cache on their first cycle).
-fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
+pub(crate) fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
     let mut policy = build_policy(cfg);
     if let Some(snap) = &cfg.initial_snapshot {
         use stellaris_nn::ParamSet;
@@ -135,6 +141,19 @@ fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
         policy.load_snapshot(snap);
     }
     policy
+}
+
+/// The job's parameter server, the one every engine aggregates on: the
+/// canonical starting policy, the aggregation rule of `cfg.learner_mode`,
+/// and `cfg.param_shards` shards that each own an optimizer (one shard is
+/// bit-for-bit the reference `ParameterServer`).
+pub(crate) fn build_server(cfg: &TrainConfig) -> ShardedParameterServer {
+    ShardedParameterServer::new(
+        initial_policy(cfg),
+        cfg.learner_mode.rule(),
+        cfg.param_shards,
+        || cfg.optimizer.build(cfg.algo.lr()),
+    )
 }
 
 /// One learner-function body: load the snapshot, run the configured
@@ -176,8 +195,8 @@ pub(crate) fn learner_compute(
 /// Runs a training job, dispatching on the learner topology.
 pub fn train(cfg: &TrainConfig) -> TrainResult {
     match &cfg.learner_mode {
-        LearnerMode::Async { rule } => train_async(cfg, rule.clone()),
-        LearnerMode::Sync { n } => train_sync(cfg, *n),
+        LearnerMode::Async { .. } => train_async(cfg),
+        LearnerMode::Sync { n } => train_sync(cfg, (*n).max(1)),
         LearnerMode::Single => train_sync(cfg, 1),
     }
 }
@@ -186,7 +205,7 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
 // Asynchronous path (Stellaris and the Fig. 11a ablation baselines)
 // ---------------------------------------------------------------------------
 
-fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
+fn train_async(cfg: &TrainConfig) -> TrainResult {
     let start = Instant::now();
     let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
     let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
@@ -203,17 +222,7 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     platform.prewarm(FunctionKind::Learner, cfg.max_learners);
     platform.prewarm(FunctionKind::Actor, cfg.n_actors);
 
-    let policy0 = initial_policy(cfg);
-    // DESIGN.md §16: the parameter plane is sharded by parameter block.
-    // `param_shards = 1` (every preset's default) collapses to a single
-    // shard whose aggregation is bit-for-bit identical to the classic
-    // `ParameterServer` — the regression test in `parameter.rs` pins this.
-    let server = Arc::new(ShardedParameterServer::new(
-        policy0.clone(),
-        rule.clone(),
-        cfg.param_shards,
-        || cfg.optimizer.build(cfg.algo.lr()),
-    ));
+    let server = Arc::new(build_server(cfg));
     // Snapshot first: `put_obj` locks cache shards, which must never happen
     // while a parameter-shard guard is live.
     let snapshot0 = server.snapshot();
@@ -223,7 +232,11 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
         Some(rho) => RatioBoard::new(rho),
         None => RatioBoard::disabled(),
     });
-    let throttle = rule.ssp_bound().map(|b| Arc::new(SspThrottle::new(b)));
+    let throttle = cfg
+        .learner_mode
+        .rule()
+        .ssp_bound()
+        .map(|b| Arc::new(SspThrottle::new(b)));
     let autoscaler = Arc::new(if cfg.dynamic_learners {
         LearnerAutoscaler::new(1, cfg.max_learners.max(1))
     } else {
@@ -243,8 +256,10 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     let grad_cap = 8 * cfg.max_learners.max(8);
     // Learners hash into `grad_lanes` independent bounded MPSC lanes so a
     // 10k-learner fan-in never serialises on one queue lock; one lane (the
-    // default) is exactly the classic single bounded queue.
-    let grad_q: Arc<ShardedGradientQueue<String>> =
+    // default) is exactly the classic single bounded queue. A lane carries
+    // the delivered gradient itself: the router already moved (and
+    // fault-injected) it across VMs.
+    let grad_q: Arc<ShardedGradientQueue<GradientMsg>> =
         Arc::new(ShardedGradientQueue::bounded(cfg.grad_lanes, grad_cap));
     let stop = Arc::new(AtomicBool::new(false));
     let steps = Arc::new(AtomicU64::new(0));
@@ -275,10 +290,7 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
 
     let mut rows = Vec::with_capacity(cfg.rounds);
     let gamma = cfg.algo.gamma();
-    let lambda = match &cfg.algo {
-        Algo::Ppo(p) => p.gae_lambda,
-        Algo::Impact(_) | Algo::Impala(_) => 0.95,
-    };
+    let lambda = cfg.algo.gae_lambda();
 
     crossbeam::thread::scope(|s| {
         // ----- actors (Step ①) -------------------------------------------------
@@ -395,6 +407,9 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
             s.spawn(move |_| {
                 let mut local = build_policy(&cfg);
                 let mut impact_state: Option<ImpactLearner> = None;
+                // Names the gradient frame if the router ever routes it
+                // through the cache tier.
+                let grad_key = format!("grad:{l}");
                 loop {
                     // Dynamic learner orchestration: workers beyond the
                     // autoscaler's current pool size idle without holding
@@ -459,31 +474,26 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
                     let base_version = msg.base_version;
                     let sent = {
                         let _t = timers.span(Component::Cache);
-                        let key = format!("grad:{}", cache.incr("grad_seq"));
                         // Gradient submission crosses VMs (learner -> the
                         // parameter function's host) and is subject to
                         // frame drop/corruption with retry.
-                        router
-                            .send_with_retry(
-                                Arc::new(msg),
-                                Placement { vm: 1 + l },
-                                Placement { vm: 0 },
-                                false,
-                                &key,
-                                &cfg.retry,
-                            )
-                            .ok()
-                            .map(|(_tier, delivered)| {
-                                cache.put_obj(&key, delivered.get());
-                                key
-                            })
+                        router.send_with_retry(
+                            Arc::new(msg),
+                            Placement { vm: 1 + l },
+                            Placement { vm: 0 },
+                            false,
+                            &grad_key,
+                            &cfg.retry,
+                        )
                     };
                     match sent {
                         // Lane choice is keyed by learner id: a learner
                         // always lands on the same lane and never touches
                         // a global queue lock.
-                        Some(key) => grad_q.push(l as u64, key, base_version),
-                        None => {
+                        Ok((_tier, delivered)) => {
+                            grad_q.push(l as u64, delivered.into_owned(), base_version);
+                        }
+                        Err(_) => {
                             degraded.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -498,11 +508,8 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
             let server = server.clone();
             let timers = timers.clone();
             s.spawn(move |_| {
-                while let Some((key, _base_version)) = grad_q.pop_any() {
+                while let Some((msg, _base_version)) = grad_q.pop_any() {
                     let _t = timers.span(Component::Aggregation);
-                    let Ok(msg) = cache.take_obj::<GradientMsg>(&key) else {
-                        continue;
-                    };
                     let applied = server.offer(msg);
                     let clock = server.clock();
                     if applied > 0 {
@@ -639,19 +646,10 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
         degraded_rounds += 1;
     }
 
-    // Copy what finalize needs out of the server before it touches the
-    // platform: each accessor takes and releases its shard guard, so no
-    // server lock is ever held across `platform.records`.
-    let server_final = ServerFinal {
-        staleness_log: server.staleness_log().to_vec(),
-        updates: server.updates(),
-        grads_aggregated: server.grads_aggregated(),
-        snapshot: server.snapshot(),
-    };
     finalize(
         cfg,
         rows,
-        server_final,
+        &server,
         &platform,
         &timers,
         start,
@@ -663,13 +661,15 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
 // Synchronous path (serverful baselines and MinionsRL's single learner)
 // ---------------------------------------------------------------------------
 
+/// `n_learners` is the wave size (at least 1): the `FullSync` quorum of
+/// `cfg.learner_mode`.
 fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
     let start = Instant::now();
     let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
     let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
     let platform = Arc::new(
         Platform::new(
-            n_learners.max(1),
+            n_learners,
             cfg.n_actors,
             StartupProfile::default(),
             OverheadMode::Record,
@@ -681,21 +681,11 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
     platform.prewarm(FunctionKind::Actor, cfg.n_actors);
     let timers = Arc::new(Timers::default());
 
-    let policy0 = initial_policy(cfg);
-    let mut server = ParameterServer::new(
-        policy0,
-        cfg.optimizer.build(cfg.algo.lr()),
-        AggregationRule::FullSync {
-            n: n_learners.max(1),
-        },
-    );
+    let server = build_server(cfg);
     cache.put_obj(POLICY_KEY, &server.snapshot());
 
     let gamma = cfg.algo.gamma();
-    let lambda = match &cfg.algo {
-        Algo::Ppo(p) => p.gae_lambda,
-        Algo::Impact(_) | Algo::Impala(_) => 0.95,
-    };
+    let lambda = cfg.algo.gae_lambda();
 
     let mut workers: Vec<RolloutWorker> = (0..cfg.n_actors)
         .map(|a| {
@@ -714,7 +704,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
     // IMPACT's target-network state persists across waves per learner slot
     // (a fresh target every invocation would degenerate the ratio to 1).
     let impact_states: Vec<Mutex<Option<ImpactLearner>>> =
-        (0..n_learners.max(1)).map(|_| Mutex::new(None)).collect();
+        (0..n_learners).map(|_| Mutex::new(None)).collect();
     let mut episodes_total = 0u64;
     let mut prev_invocations = 0u64;
     let mut prev_episodes = 0u64;
@@ -809,7 +799,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
         let mut idx = 0;
         while idx < minibatches.len() {
             let wave: Vec<&SampleBatch> = minibatches
-                [idx..(idx + n_learners.max(1)).min(minibatches.len())]
+                [idx..(idx + n_learners).min(minibatches.len())]
                 .iter()
                 .collect();
             idx += wave.len();
@@ -900,35 +890,15 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
                 })
                 .collect();
             let _agg = timers.span(Component::Aggregation);
-            let wave_n = msgs.len();
-            degraded_events += (wave_size - wave_n) as u64;
-            if wave_n == 0 {
-                // Quorum of zero: every gradient in the wave was lost.
-                // Skip the update entirely rather than stalling.
-            } else if wave_n < n_learners.max(1) {
-                // Degraded or last partial wave: temporarily lower the
-                // sync quorum to the gradients that actually arrived.
-                let mut tmp = ParameterServer::new(
-                    server.policy.clone(),
-                    cfg.optimizer.build(cfg.algo.lr()),
-                    AggregationRule::FullSync { n: wave_n },
-                );
-                tmp.policy.version = server.policy.version;
-                for m in msgs {
-                    tmp.offer(m);
-                }
-                let snap = tmp.snapshot();
-                server.policy.load_snapshot(&snap);
-                server.updates += 1;
-                server.grads_aggregated += tmp.grads_aggregated;
-                server
-                    .staleness_log
-                    .extend(tmp.staleness_log.iter().copied());
-            } else {
-                for m in msgs {
-                    server.offer(m);
-                }
+            degraded_events += (wave_size - msgs.len()) as u64;
+            for m in msgs {
+                server.offer(m);
             }
+            // A short wave (a gradient was lost, or this is the round's
+            // trailing partial wave) never meets the quorum: commit what
+            // arrived on the job's own optimizer. A full wave has already
+            // committed and leaves nothing pending.
+            server.commit_pending();
             cache.put_obj(POLICY_KEY, &server.snapshot());
         }
 
@@ -968,13 +938,13 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
             cost_usd: cost.total(),
             learner_cost_usd: cost.learner_usd,
             actor_cost_usd: cost.actor_usd,
-            policy_updates: server.updates - prev_updates,
+            policy_updates: server.updates() - prev_updates,
             policy_kl,
         });
         last_round_end = now;
         prev_invocations = invocations;
         prev_episodes = episodes_total;
-        prev_updates = server.updates;
+        prev_updates = server.updates();
         if degraded_events > prev_degraded {
             degraded_rounds += 1;
             round_span.field("degraded", true);
@@ -986,16 +956,10 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
         rounds_total.inc();
     }
 
-    let server_final = ServerFinal {
-        staleness_log: server.staleness_log.to_vec(),
-        updates: server.updates,
-        grads_aggregated: server.grads_aggregated,
-        snapshot: server.snapshot(),
-    };
     finalize(
         cfg,
         rows,
-        server_final,
+        &server,
         &platform,
         &timers,
         start,
@@ -1019,19 +983,12 @@ fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreak
     }
 }
 
-/// Values copied out of the parameter server before finalization, so no
-/// server guard is held while `finalize` locks platform internals.
-struct ServerFinal {
-    staleness_log: Vec<u64>,
-    updates: u64,
-    grads_aggregated: u64,
-    snapshot: PolicySnapshot,
-}
-
+/// Assembles the job's result. Each server accessor takes and releases its
+/// own shard guards, so no server lock is held while the platform's are.
 fn finalize(
     cfg: &TrainConfig,
     rows: Vec<TrainRow>,
-    server: ServerFinal,
+    server: &ShardedParameterServer,
     platform: &Platform,
     timers: &Timers,
     start: Instant,
@@ -1048,7 +1005,7 @@ fn finalize(
     let (cold, _) = platform.start_counts();
     let final_reward = rows.last().map(|r| r.reward).unwrap_or(0.0);
     TrainResult {
-        staleness_log: server.staleness_log.to_vec(),
+        staleness_log: server.staleness_log().to_vec(),
         timers: timer_report,
         final_reward,
         cost: cost_for(cfg, platform, wall),
@@ -1058,12 +1015,12 @@ fn finalize(
             .iter()
             .filter(|r| r.kind == FunctionKind::Learner)
             .count() as u64,
-        policy_updates: server.updates,
+        policy_updates: server.updates(),
         gpu_utilization: platform.gpu_utilization(cfg.max_learners),
         cold_starts: cold,
         label: cfg.label(),
-        final_snapshot: server.snapshot,
-        grads_aggregated: server.grads_aggregated,
+        final_snapshot: server.snapshot(),
+        grads_aggregated: server.grads_aggregated(),
         degraded_rounds,
         slots_leaked: platform.leaked_slots(),
         faults: platform.faults().report(),
@@ -1089,6 +1046,7 @@ pub fn smooth(rewards: &[f32], window: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregation::AggregationRule;
     use stellaris_envs::EnvId;
 
     #[test]
@@ -1130,6 +1088,61 @@ mod tests {
         assert!(
             res.cost.total() > 0.0,
             "serverful billing charges wall time"
+        );
+    }
+
+    #[test]
+    fn short_sync_wave_steps_the_jobs_adam() {
+        // Regression: a wave short of its quorum (here the round's trailing
+        // wave — 4 minibatches in waves of 3 and 1) aggregated on a
+        // throwaway server with a fresh Adam, resetting the moments to a
+        // t=1 step. Replay the round by hand — same rollouts, same
+        // minibatches — through ONE Adam stepped on each wave's mean.
+        use crate::aggregation::GradAccumulator;
+        use stellaris_nn::{OptimizerKind, ParamSet};
+        let mut cfg = TrainConfig::test_tiny(EnvId::ChainMdp, 11);
+        cfg.learner_mode = LearnerMode::Sync { n: 3 };
+        cfg.rounds = 1;
+        assert_eq!(cfg.optimizer, OptimizerKind::Adam);
+        let got = train(&cfg).final_snapshot;
+
+        let mut policy = initial_policy(&cfg);
+        let mut workers: Vec<RolloutWorker> = (0..cfg.n_actors)
+            .map(|a| {
+                RolloutWorker::new(
+                    make_env(cfg.env_id, cfg.env_cfg),
+                    cfg.seed * 1000 + a as u64,
+                )
+            })
+            .collect();
+        let mut minibatches = Vec::new();
+        for _ in 0..cfg.round_timesteps.div_ceil(cfg.n_actors * cfg.actor_steps) {
+            for w in &mut workers {
+                let mut b = w.collect(&policy, cfg.actor_steps);
+                fill_gae(&mut b, cfg.algo.gamma(), cfg.algo.gae_lambda());
+                b.normalize_advantages();
+                minibatches.extend(b.minibatches(cfg.minibatch));
+            }
+        }
+        let waves: Vec<usize> = minibatches.chunks(3).map(<[_]>::len).collect();
+        assert_eq!(waves, [3, 1], "the round must end on a short wave");
+        let mut adam = cfg.optimizer.build(cfg.algo.lr());
+        let mut mean = GradAccumulator::new(&policy.param_shapes());
+        for wave in minibatches.chunks(3) {
+            let snap = policy.snapshot();
+            mean.reset();
+            for (l, mb) in wave.iter().enumerate() {
+                let mut local = build_policy(&cfg);
+                let msg = learner_compute(&cfg.algo, &mut local, &mut None, &snap, mb, None, l);
+                mean.accumulate(&msg.grads, 1.0 / wave.len() as f32);
+            }
+            adam.step_refs(&mut policy.params_mut(), mean.grads());
+        }
+        let want: Vec<u32> = policy.flatten().iter().map(|x| x.to_bits()).collect();
+        let got: Vec<u32> = got.flat.iter().map(|x| x.to_bits()).collect();
+        assert!(
+            got == want,
+            "sync weights differ from one Adam over both waves"
         );
     }
 

@@ -84,14 +84,6 @@ impl StalenessRing {
         self.buf.iter().copied().collect()
     }
 
-    /// Records every sample from an iterator (sync-mode merge of a wave
-    /// server's ledger into the job's).
-    pub fn extend(&mut self, it: impl IntoIterator<Item = u64>) {
-        for v in it {
-            self.push(v);
-        }
-    }
-
     /// Mean over the last `n` retained samples (0.0 when empty).
     pub fn tail_mean(&self, n: usize) -> f64 {
         let start = self.buf.len().saturating_sub(n);
@@ -104,7 +96,11 @@ impl StalenessRing {
     }
 }
 
-/// The aggregating parameter server (one per training job).
+/// The unsharded reference parameter server. No training engine runs it:
+/// every engine aggregates on [`ShardedParameterServer`], whose one-shard
+/// configuration must match this server bit-for-bit
+/// (`single_shard_bitwise_matches_parameter_server`). It stays as the
+/// reference for that test, the loom aggregation model and the benchmarks.
 pub struct ParameterServer {
     /// The canonical policy.
     pub policy: PolicyNet,
@@ -323,6 +319,10 @@ struct ParamShard {
     hist: Arc<Histogram>,
 }
 
+/// The parameter server every training engine aggregates on — the async
+/// and sync round loops and the socket fleet alike — built from a
+/// [`TrainConfig`](crate::TrainConfig) by `orchestrator::build_server`.
+///
 /// The sharded parameter plane (DESIGN.md §16): the parameter function split
 /// into `N` shards keyed by parameter block, each aggregating independently
 /// — own optimizer-state slice, own staleness-schedule view, own pending
@@ -332,7 +332,7 @@ struct ParamShard {
 /// the state delta pulls need: a learner at version `v` pulls the blocks
 /// stamped after `v` ([`Self::delta_since`]) and nothing else.
 ///
-/// **Single-shard configuration is bit-for-bit today's
+/// **Single-shard configuration is bit-for-bit the reference
 /// [`ParameterServer`]**: one shard owns every block in order, staleness is
 /// measured against the same global clock, gradients fold in the same order
 /// with the same weights into the same optimizer — the Eq. 2/3/4 semantics
@@ -448,10 +448,12 @@ impl ShardedParameterServer {
         self.version_vector().iter().sum()
     }
 
-    /// Total (gradient, shard) folds. With one shard this equals the
-    /// unsharded server's `grads_aggregated`.
+    /// Gradients folded into the policy, counted on shard 0 like
+    /// [`Self::staleness_log`]: one per gradient, however many shards fold
+    /// it. (`stellaris_core_grads_aggregated_total` counts every
+    /// (gradient, shard) fold instead.)
     pub fn grads_aggregated(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().grads_aggregated).sum()
+        self.shards[0].lock().grads_aggregated
     }
 
     /// Gradients waiting in shard 0's delay queue (all shards see the same
@@ -495,6 +497,25 @@ impl ShardedParameterServer {
             applied += 1;
         }
         applied
+    }
+
+    /// Commits every shard's pending gradients now, without asking the
+    /// rule: a synchronous wave that falls short of its `FullSync` quorum
+    /// (a gradient was lost, or the round's minibatches ran out) still
+    /// steps each shard's own optimizer, so its state (Adam's moments and
+    /// step count) carries on into the next wave. Returns the commits made.
+    pub fn commit_pending(&self) -> usize {
+        let mut commits = 0;
+        for shard in &self.shards {
+            let mut sh = shard.lock();
+            if !sh.pending.is_empty() {
+                let batch = std::mem::take(&mut sh.pending);
+                // lint:allow(A2): shard_apply folds into this locked shard only; the flagged Cache lock rides a name collision on `reset`
+                self.shard_apply(&mut sh, &batch);
+                commits += 1;
+            }
+        }
+        commits
     }
 
     /// One aggregation attempt on a locked shard; true if it committed.
@@ -912,6 +933,41 @@ mod tests {
             for (x, y) in flat_srv.policy.flatten().iter().zip(policy.flatten()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn commit_pending_steps_each_shards_own_optimizer() {
+        // A short FullSync wave (2 of 3), committed explicitly, then a full
+        // wave: Adam is elementwise, so two shards each stepping their own
+        // Adam must equal one Adam over the whole policy stepped on each
+        // wave's mean gradient in order.
+        let mut reference = tiny_policy(5);
+        let sharded = ShardedParameterServer::new(
+            reference.clone(),
+            AggregationRule::FullSync { n: 3 },
+            2,
+            || OptimizerKind::Adam.build(0.01),
+        );
+        let mut adam = OptimizerKind::Adam.build(0.01);
+        let mut mean = GradAccumulator::new(&reference.param_shapes());
+        for (wave, fills) in [vec![0.3, -0.1], vec![0.2, 0.5, -0.4]].iter().enumerate() {
+            let base = sharded.clock();
+            mean.reset();
+            for (l, &fill) in fills.iter().enumerate() {
+                let msg = grad_msg(&reference, l, base, fill);
+                mean.accumulate(&msg.grads, 1.0 / fills.len() as f32);
+                sharded.offer(msg);
+            }
+            adam.step_refs(&mut reference.params_mut(), mean.grads());
+            let commits = sharded.commit_pending();
+            assert_eq!(commits, if wave == 0 { 2 } else { 0 }, "wave {wave}");
+        }
+        assert_eq!(sharded.pending(), 0);
+        assert_eq!(sharded.grads_aggregated(), 5, "one count per gradient");
+        assert_eq!(sharded.staleness_log().to_vec(), vec![0, 0, 0, 0, 0]);
+        for (x, y) in reference.flatten().iter().zip(&sharded.snapshot().flat) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -37,11 +37,9 @@ use stellaris_serverless::{
 };
 use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
 
-use crate::aggregation::AggregationRule;
-use crate::config::{Algo, LearnerMode, TrainConfig};
+use crate::config::{Algo, TrainConfig};
 use crate::messages::GradientMsg;
-use crate::orchestrator::{build_policy, learner_compute};
-use crate::parameter::ParameterServer;
+use crate::orchestrator::{build_server, learner_compute};
 
 // ---------------------------------------------------------------------------
 // Wire data types
@@ -865,21 +863,9 @@ impl RemoteFleet {
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
-        let rule = match &self.cfg.learner_mode {
-            LearnerMode::Async { rule } => rule.clone(),
-            LearnerMode::Sync { n } => AggregationRule::FullSync { n: (*n).max(1) },
-            LearnerMode::Single => AggregationRule::FullSync { n: 1 },
-        };
-        let mut server = ParameterServer::new(
-            build_policy(&self.cfg),
-            self.cfg.optimizer.build(self.cfg.algo.lr()),
-            rule,
-        );
+        let server = build_server(&self.cfg);
         let gamma = self.cfg.algo.gamma();
-        let lambda = match &self.cfg.algo {
-            Algo::Ppo(p) => p.gae_lambda,
-            Algo::Impact(_) | Algo::Impala(_) => 0.95,
-        };
+        let lambda = self.cfg.algo.gae_lambda();
 
         // The actor's span base must not collide with any learner's, so it
         // takes the index right above the learner range.
@@ -891,10 +877,7 @@ impl RemoteFleet {
         // version the actor worker holds and ships only the blocks changed
         // since. Round 0 (and any rejected delta) falls back to a full
         // LOAD_POLICY.
-        let mut delta_store = DeltaStore::new(
-            BlockLayout::from_shapes(&build_policy(&self.cfg).param_shapes()),
-            &server.snapshot(),
-        );
+        let mut delta_store = DeltaStore::new(server.layout().clone(), &server.snapshot());
         let mut actor_version: Option<u64> = None;
         let mut policy_full_pulls = 0u64;
         let mut policy_delta_pulls = 0u64;
@@ -1110,8 +1093,8 @@ impl RemoteFleet {
             rounds: self.cfg.rounds,
             final_version: server.clock(),
             final_checksum: snapshot_checksum(&snapshot),
-            grads_aggregated: server.grads_aggregated,
-            staleness_log: server.staleness_log.to_vec(),
+            grads_aggregated: server.grads_aggregated(),
+            staleness_log: server.staleness_log().to_vec(),
             cold_spawns,
             warm_reuses,
             recovered,
@@ -1134,6 +1117,7 @@ impl RemoteFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::build_policy;
     use std::net::TcpListener;
     use stellaris_cache::frame::{write_value_frame, DEFAULT_MAX_FRAME};
     use stellaris_envs::EnvId;

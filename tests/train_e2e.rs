@@ -61,6 +61,12 @@ fn sharded_plane_trains_end_to_end() {
         !result.staleness_log.is_empty(),
         "per-shard staleness must still be recorded"
     );
+    // Every shard folds every gradient, but a gradient is counted once.
+    assert_eq!(
+        result.grads_aggregated,
+        result.staleness_log.len() as u64,
+        "grads_aggregated must count gradients, not (gradient, shard) folds"
+    );
 }
 
 #[test]

@@ -271,6 +271,24 @@ fn fault_free_fleet_matches_golden_checksum() {
     );
 }
 
+/// The fleet starts from `TrainConfig::initial_snapshot` like the
+/// in-process engines: resuming at version 7 continues the policy clock.
+#[test]
+fn fleet_resumes_from_initial_snapshot() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    let mut snap = train(&tiny_cfg(13, 1)).final_snapshot;
+    snap.version = 7;
+    let report = fleet(tiny_cfg(13, 2).resume_from(snap), WireTransport::Tcp)
+        .run()
+        .expect("resumed fleet run");
+    assert!(report.grads_aggregated > 0);
+    assert_eq!(
+        report.final_version,
+        7 + report.grads_aggregated,
+        "the fleet must continue from the resumed version"
+    );
+}
+
 /// The same fleet over unix-domain sockets.
 #[cfg(unix)]
 #[test]
