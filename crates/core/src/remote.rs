@@ -19,6 +19,7 @@
 //! sides of the socket.
 
 use std::io::{Read, Write};
+use std::sync::mpsc::{self, SyncSender};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -37,7 +38,7 @@ use stellaris_serverless::{
 };
 use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
 
-use crate::config::{Algo, TrainConfig};
+use crate::config::{Algo, LearnerMode, TrainConfig};
 use crate::messages::GradientMsg;
 use crate::orchestrator::{build_server, learner_compute};
 
@@ -162,12 +163,39 @@ pub struct GradientRequest {
     pub learner_id: usize,
 }
 
+/// Writes everything a `GradientRequest` encodes after its snapshot. The
+/// codec and the fleet's per-round splice both go through here, so the two
+/// cannot drift apart on the wire.
+fn encode_after_snapshot(
+    batch: &SampleBatch,
+    cap: Option<f32>,
+    learner_id: usize,
+    buf: &mut BytesMut,
+) {
+    batch.encode(buf);
+    cap.unwrap_or(f32::NAN).encode(buf);
+    learner_id.encode(buf);
+}
+
+/// Fills `buf` with a `GRADIENT` payload from a snapshot the caller encoded
+/// once: byte for byte what `GradientRequest::to_bytes` produces for the
+/// same fields, without cloning or re-encoding the snapshot per request.
+fn splice_gradient_request(
+    buf: &mut BytesMut,
+    snap_bytes: &[u8],
+    batch: &SampleBatch,
+    cap: Option<f32>,
+    learner_id: usize,
+) {
+    buf.clear();
+    buf.extend_from_slice(snap_bytes);
+    encode_after_snapshot(batch, cap, learner_id, buf);
+}
+
 impl Codec for GradientRequest {
     fn encode(&self, buf: &mut BytesMut) {
         self.snap.encode(buf);
-        self.batch.encode(buf);
-        self.cap.unwrap_or(f32::NAN).encode(buf);
-        self.learner_id.encode(buf);
+        encode_after_snapshot(&self.batch, self.cap, self.learner_id, buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -702,21 +730,14 @@ impl RemoteWorker {
         req: &GradientRequest,
         trace: u64,
     ) -> Result<GradientMsg, RemoteError> {
-        let reply = self.request(op::GRADIENT, trace, &req.to_bytes())?;
-        Ok(reply.decode_value::<GradientMsg>()?)
+        self.gradient_payload(&req.to_bytes(), trace)
     }
 
-    /// Chaos hook: sends the gradient request with its payload truncated —
-    /// a syntactically valid frame whose payload no longer decodes. The
-    /// stream stays in sync; the worker answers `ERR` and this returns
-    /// [`RemoteError::Rejected`].
-    pub fn gradient_corrupted(
-        &mut self,
-        req: &GradientRequest,
-        trace: u64,
-    ) -> Result<GradientMsg, RemoteError> {
-        let bytes = req.to_bytes();
-        let reply = self.request(op::GRADIENT, trace, &bytes[..bytes.len() / 2])?;
+    /// Ships an already encoded `GradientRequest` payload. A payload that
+    /// does not decode is answered with `ERR` and returns
+    /// [`RemoteError::Rejected`]; the stream stays in sync.
+    fn gradient_payload(&mut self, payload: &[u8], trace: u64) -> Result<GradientMsg, RemoteError> {
+        let reply = self.request(op::GRADIENT, trace, payload)?;
         Ok(reply.decode_value::<GradientMsg>()?)
     }
 
@@ -794,11 +815,44 @@ pub fn snapshot_checksum(snap: &PolicySnapshot) -> u64 {
     })
 }
 
+/// One minibatch's chaos decisions. The round thread draws them for the
+/// whole round, in minibatch order, before any learner slot starts; each
+/// fault class has its own seeded stream, so the draws (and the run's
+/// outcome) are a pure function of the fault seed whatever the slots'
+/// timing.
+struct ChaosDraw {
+    crash: bool,
+    straggle: Option<Duration>,
+    corrupt: bool,
+    dropped: bool,
+}
+
+impl ChaosDraw {
+    fn draw(faults: &FaultPlan) -> Self {
+        Self {
+            crash: faults.should_crash(),
+            straggle: faults.straggle(),
+            corrupt: faults.should_corrupt_frame(),
+            dropped: faults.should_drop_frame(),
+        }
+    }
+}
+
+/// One minibatch of a learner slot's round: its index, data and chaos.
+type SlotJob = (usize, SampleBatch, ChaosDraw);
+
 /// Drives training rounds against real worker child processes: one
-/// fault-free actor worker collects trajectories, `max_learners` learner
-/// workers compute gradients over the socket under seeded chaos, and the
-/// parent aggregates deterministically (mini-batch order) so same-seed
-/// runs reproduce the same final policy bit-for-bit.
+/// fault-free actor worker collects trajectories, and `max_learners`
+/// learner workers compute gradients over the socket under seeded chaos.
+///
+/// Within a round the learner slots run concurrently, one blocking thread
+/// per slot: slot `l` serves minibatches `i ≡ l (mod max_learners)` in
+/// ascending order against a snapshot encoded once per round. The chaos
+/// decisions for the whole round are drawn up front in minibatch order,
+/// and the parent offers each gradient as soon as every earlier minibatch
+/// has arrived (a lost one is skipped). The server therefore sees the same
+/// offer sequence whatever the slots' timing, so same-seed runs reproduce
+/// the same final policy bit-for-bit.
 pub struct RemoteFleet {
     pool: ProcessPool,
     platform: Platform,
@@ -853,6 +907,119 @@ impl RemoteFleet {
                 .record_remote(kind, exec, exec + cold_start, cold_start, true, false);
         }
         Ok(worker)
+    }
+
+    /// Serves one learner slot's minibatches for a round, in ascending
+    /// order, on the calling thread. Each outcome (the gradient, or `None`
+    /// once the retry budget is spent) goes to `results` as soon as it is
+    /// known. Returns the slot's live worker, if any, and the number of
+    /// typed errors a retry recovered.
+    fn serve_slot(
+        &self,
+        l: usize,
+        jobs: Vec<SlotJob>,
+        setup: &RemoteSetup,
+        snap_bytes: &[u8],
+        round_span: u64,
+        results: &SyncSender<(usize, Option<GradientMsg>)>,
+    ) -> Result<(Option<RemoteWorker>, u64), RemoteError> {
+        let mut worker: Option<RemoteWorker> = None;
+        let mut recovered = 0u64;
+        let mut payload = BytesMut::new();
+        for (i, mb, chaos) in jobs {
+            splice_gradient_request(&mut payload, snap_bytes, &mb, self.cfg.truncation_rho, l);
+            let mut span = telemetry::span_with_parent(
+                "fleet.gradient",
+                round_span,
+                vec![("minibatch", i.into()), ("learner", l.into())],
+            );
+            let mut outcome: Option<GradientMsg> = None;
+            let mut attempt: u32 = 0;
+            loop {
+                if worker.is_none() {
+                    match self.checkout_worker(FunctionKind::Learner, l, setup) {
+                        Ok(w) => worker = Some(w),
+                        Err(_spawn_failed) if attempt < self.cfg.retry.max_retries => {
+                            self.faults.note_retry(Duration::ZERO);
+                            attempt += 1;
+                            continue;
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                let Some(w) = worker.as_mut() else { break };
+                // The chaos draw lands on the first attempt only, so a
+                // retried attempt is clean and recovery is guaranteed
+                // within the budget.
+                let injected = attempt == 0;
+                let t0 = Instant::now();
+                let result: Result<GradientMsg, RemoteError> = if injected && chaos.dropped {
+                    // Frame drop, socket edition: the peer vanishes and
+                    // the connection resets under the request.
+                    w.process().kill();
+                    w.gradient_payload(&payload, span.id())
+                } else if injected && chaos.crash {
+                    Err(w.crash())
+                } else if injected && chaos.corrupt {
+                    // A syntactically valid frame whose payload no longer
+                    // decodes: the worker answers ERR, the stream stays
+                    // in sync.
+                    w.gradient_payload(&payload[..payload.len() / 2], span.id())
+                } else {
+                    if let (true, Some(dur)) = (injected, chaos.straggle) {
+                        let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
+                    }
+                    w.gradient_payload(&payload, span.id())
+                };
+                let exec = t0.elapsed();
+                self.platform.record_remote(
+                    FunctionKind::Learner,
+                    exec,
+                    exec,
+                    Duration::ZERO,
+                    false,
+                    result.is_err(),
+                );
+                match result {
+                    Ok(msg) => {
+                        if attempt > 0 {
+                            recovered += 1;
+                            span.field("recovered_after", attempt);
+                        }
+                        outcome = Some(msg);
+                        break;
+                    }
+                    Err(e) => {
+                        span.field("error", format!("{e}"));
+                        // A rejected frame leaves the stream in sync;
+                        // anything wire-level poisons the connection and
+                        // the worker respawns cold.
+                        if !matches!(e, RemoteError::Rejected(_)) {
+                            worker = None;
+                        }
+                        if attempt >= self.cfg.retry.max_retries {
+                            break;
+                        }
+                        let backoff = self.cfg.retry.backoff(attempt, self.faults.jitter());
+                        self.faults.note_retry(backoff);
+                        std::thread::sleep(backoff);
+                        attempt += 1;
+                    }
+                }
+            }
+            if outcome.is_none() {
+                // Quorum degradation: this minibatch's gradient is
+                // permanently lost and the round proceeds without it.
+                self.faults.note_exhausted();
+                span.field("exhausted", true);
+            }
+            drop(span);
+            if results.send((i, outcome)).is_err() {
+                // The round thread is gone; nothing will read the rest.
+                break;
+            }
+        }
+        Ok((worker, recovered))
     }
 
     /// Runs the configured number of rounds. Actor traffic is fault-free
@@ -944,127 +1111,75 @@ impl RemoteFleet {
             batch.normalize_advantages();
             let minibatches = batch.minibatches(self.cfg.minibatch);
 
-            // ----- learner waves over the socket (Step ②) ------------------
-            let mut learners: Vec<Option<RemoteWorker>> = (0..n_learners).map(|_| None).collect();
-            let mut msgs: Vec<(usize, GradientMsg)> = Vec::with_capacity(minibatches.len());
+            // ----- learner slots over the socket (Step ②) ------------------
+            let n_minibatches = minibatches.len();
+            let mut jobs: Vec<Vec<SlotJob>> = (0..n_learners).map(|_| Vec::new()).collect();
             for (i, mb) in minibatches.into_iter().enumerate() {
-                let l = i % n_learners;
-                // One chaos draw per mini-batch, before the retry loop, so
-                // a retried attempt is clean and recovery is guaranteed
-                // within the budget — and the draw sequence (hence the
-                // run's outcome) is a pure function of the fault seed.
-                let crash = self.faults.should_crash();
-                let straggle = self.faults.straggle();
-                let corrupt = self.faults.should_corrupt_frame();
-                let dropped = self.faults.should_drop_frame();
-                let req = GradientRequest {
-                    snap: snap.clone(),
-                    batch: mb,
-                    cap: self.cfg.truncation_rho,
-                    learner_id: l,
-                };
-                let mut span = telemetry::span_with(
-                    "fleet.gradient",
-                    vec![("minibatch", i.into()), ("learner", l.into())],
-                );
-                let mut outcome: Option<GradientMsg> = None;
-                let mut attempt: u32 = 0;
-                loop {
-                    if learners[l].is_none() {
-                        match self.checkout_worker(FunctionKind::Learner, l, &setup) {
-                            Ok(w) => learners[l] = Some(w),
-                            Err(_spawn_failed) if attempt < self.cfg.retry.max_retries => {
-                                self.faults.note_retry(Duration::ZERO);
-                                attempt += 1;
-                                continue;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    let Some(w) = learners[l].as_mut() else { break };
-                    let injected = attempt == 0;
-                    let t0 = Instant::now();
-                    let result: Result<GradientMsg, RemoteError> = if injected && dropped {
-                        // Frame drop, socket edition: the peer vanishes and
-                        // the connection resets under the request.
-                        w.process().kill();
-                        w.gradient(&req, span.id())
-                    } else if injected && crash {
-                        Err(w.crash())
-                    } else if injected && corrupt {
-                        w.gradient_corrupted(&req, span.id())
-                    } else {
-                        if let (true, Some(dur)) = (injected, straggle) {
-                            let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
-                        }
-                        w.gradient(&req, span.id())
-                    };
-                    let exec = t0.elapsed();
-                    match result {
-                        Ok(msg) => {
-                            self.platform.record_remote(
-                                FunctionKind::Learner,
-                                exec,
-                                exec,
-                                Duration::ZERO,
-                                false,
-                                false,
-                            );
-                            if attempt > 0 {
-                                recovered += 1;
-                                span.field("recovered_after", attempt);
-                            }
-                            outcome = Some(msg);
-                            break;
-                        }
-                        Err(e) => {
-                            self.platform.record_remote(
-                                FunctionKind::Learner,
-                                exec,
-                                exec,
-                                Duration::ZERO,
-                                false,
-                                true,
-                            );
-                            span.field("error", format!("{e}"));
-                            // A rejected frame leaves the stream in sync;
-                            // anything wire-level poisons the connection
-                            // and the worker respawns cold.
-                            if !matches!(e, RemoteError::Rejected(_)) {
-                                learners[l] = None;
-                            }
-                            if attempt >= self.cfg.retry.max_retries {
-                                break;
-                            }
-                            let backoff = self.cfg.retry.backoff(attempt, self.faults.jitter());
-                            self.faults.note_retry(backoff);
-                            std::thread::sleep(backoff);
-                            attempt += 1;
-                        }
-                    }
-                }
-                match outcome {
-                    Some(msg) => msgs.push((i, msg)),
-                    None => {
-                        // Quorum degradation: this mini-batch's gradient is
-                        // permanently lost and the round proceeds without it.
-                        self.faults.note_exhausted();
-                        span.field("exhausted", true);
-                    }
-                }
+                jobs[i % n_learners].push((i, mb, ChaosDraw::draw(&self.faults)));
             }
+            let snap_bytes = snap.to_bytes();
+            let round_id = round_span.id();
+            // bound: one message per minibatch of the round, so a send never blocks
+            let (tx, rx) = mpsc::sync_channel::<(usize, Option<GradientMsg>)>(n_minibatches);
+            let slots = crossbeam::thread::scope(|s| {
+                let handles: Vec<_> = jobs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(l, jobs)| {
+                        let tx = tx.clone();
+                        let (setup, snap_bytes) = (&setup, &snap_bytes[..]);
+                        s.spawn(move |_| {
+                            let slot = self.serve_slot(l, jobs, setup, snap_bytes, round_id, &tx);
+                            telemetry::flush_thread();
+                            slot
+                        })
+                    })
+                    .collect();
+                // The loop below ends once every slot has dropped its
+                // sender, including a slot that failed part-way.
+                drop(tx);
 
-            // ----- aggregation (Step ③), deterministic order ---------------
-            msgs.sort_by_key(|(i, _)| *i);
-            for (_, msg) in msgs {
-                server.offer(msg);
+                // ----- aggregation (Step ③), streamed in minibatch order ---
+                let mut arrived: Vec<Option<Option<GradientMsg>>> =
+                    (0..n_minibatches).map(|_| None).collect();
+                let mut next = 0;
+                for (i, msg) in rx {
+                    if let Some(slot) = arrived.get_mut(i) {
+                        *slot = Some(msg);
+                    }
+                    while let Some(msg) = arrived.get_mut(next).and_then(Option::take) {
+                        if let Some(msg) = msg {
+                            server.offer(msg);
+                        }
+                        next += 1;
+                    }
+                }
+                handles
+                    .into_iter()
+                    // lint:allow(A8): deliberate re-panic — propagates a learner slot's panic
+                    // lint:allow(L1): join() errs only if the slot panicked; propagate it
+                    .map(|h| h.join().unwrap())
+                    .collect::<Result<Vec<_>, RemoteError>>()
+            })
+            // lint:allow(A8): deliberate re-panic — propagates a learner slot's panic
+            // lint:allow(L1): re-raising a child thread's panic is the intended failure path
+            .expect("learner slot panicked")?;
+            if matches!(
+                self.cfg.learner_mode,
+                LearnerMode::Sync { .. } | LearnerMode::Single
+            ) {
+                // A round's trailing partial wave never meets the quorum:
+                // commit it now, as `train_sync` does, instead of carrying
+                // it into the next round. An async rule keeps its Eq. 3 gate.
+                server.commit_pending();
             }
             server.advance_round();
             round_span.field("version", server.clock());
 
             let last_round = round + 1 == self.cfg.rounds;
-            for w in learners.into_iter().flatten() {
-                let mut w = w;
+            for (worker, slot_recovered) in slots {
+                recovered += slot_recovered;
+                let Some(mut w) = worker else { continue };
                 if last_round {
                     if let Ok(events) = w.pull_spans(round_span.id()) {
                         events_ingested += events.len();
@@ -1161,6 +1276,16 @@ mod tests {
             assert_eq!(back.cap, cap, "NaN sentinel must round-trip None");
             assert_eq!(back, req);
             assert_eq!(req.encoded_len(), req.to_bytes().len());
+
+            // The fleet's once-per-round snapshot splice is the same wire.
+            let mut spliced = BytesMut::new();
+            spliced.extend_from_slice(b"stale bytes");
+            splice_gradient_request(&mut spliced, &snap.to_bytes(), &batch, cap, 2);
+            assert_eq!(
+                &spliced[..],
+                &req.to_bytes()[..],
+                "spliced GRADIENT payload differs from GradientRequest::to_bytes (cap {cap:?})"
+            );
         }
     }
 
