@@ -5,13 +5,16 @@
 //! encoding — plus one tiny end-to-end training round as a smoke signal.
 //!
 //! Writes `BENCH_hotpath.json` at the repository root so successive PRs
-//! leave a machine-readable perf trail. CI runs `--tiny` (see the
-//! `bench-smoke` job) purely to keep the harness compiling and the JSON
-//! schema stable; absolute numbers are only meaningful from a quiet
+//! leave a machine-readable perf trail. Exits non-zero when either model's
+//! backward pass allocates less than [`MIN_ALLOC_REDUCTION`] times fewer
+//! heap blocks than the cloning reference: allocation counts are
+//! deterministic, so CI's `bench-smoke` job enforces this on `--tiny`.
+//! Timings are recorded, never gated; they are only meaningful from a quiet
 //! machine via `cargo run --release -p stellaris-bench --bin hotpath`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -154,12 +157,23 @@ fn bench_gemm(reps: usize, rng: &mut ChaCha8Rng) -> Vec<GemmRow> {
     rows
 }
 
+/// The arena backward must allocate at least this many times fewer heap
+/// blocks per step than the cloning reference (61 → 3 on the MLP and
+/// 88 → 3 on the CNN when it was introduced).
+const MIN_ALLOC_REDUCTION: f64 = 10.0;
+
 struct BackwardRow {
     model: &'static str,
     cloning_s: f64,
     cloning_allocs: u64,
     arena_s: f64,
     arena_allocs: u64,
+}
+
+impl BackwardRow {
+    fn alloc_reduction(&self) -> f64 {
+        self.cloning_allocs as f64 / self.arena_allocs.max(1) as f64
+    }
 }
 
 /// Benchmarks the backward pass alone (the graph + forward tape is rebuilt
@@ -378,7 +392,7 @@ fn bench_e2e(rounds: usize) -> f64 {
     dt
 }
 
-fn main() {
+fn main() -> ExitCode {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let _telemetry = stellaris_bench::telemetry_from_env();
     stellaris_bench::banner(
@@ -420,7 +434,7 @@ fn main() {
             json,
             "    {{\"model\": \"{}\", \"cloning_ms\": {:.4}, \"cloning_allocs\": {}, \"arena_ms\": {:.4}, \"arena_allocs\": {}, \"alloc_reduction\": {:.1}}}{comma}",
             r.model, r.cloning_s * 1e3, r.cloning_allocs, r.arena_s * 1e3, r.arena_allocs,
-            r.cloning_allocs as f64 / (r.arena_allocs.max(1)) as f64
+            r.alloc_reduction()
         );
     }
     let _ = writeln!(json, "  ],");
@@ -440,4 +454,18 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     std::fs::write(path, &json).expect("write BENCH_hotpath.json");
     stellaris_bench::progress!("wrote {path}");
+
+    let mut status = ExitCode::SUCCESS;
+    for r in bwd_rows
+        .iter()
+        .filter(|r| r.alloc_reduction() < MIN_ALLOC_REDUCTION)
+    {
+        eprintln!(
+            "hotpath gate failed: {} backward alloc_reduction {:.1} < {MIN_ALLOC_REDUCTION}",
+            r.model,
+            r.alloc_reduction()
+        );
+        status = ExitCode::FAILURE;
+    }
+    status
 }

@@ -4,7 +4,7 @@
 //! no padding, so this module implements valid (unpadded) strided
 //! convolution only. The im2col transform turns each image into a
 //! `[C*kh*kw, OH*OW]` column matrix so the convolution becomes a matmul,
-//! which reuses the rayon-parallel GEMM in [`crate::tensor`].
+//! which reuses the packed GEMM behind [`crate::tensor`].
 
 use crate::tensor::Tensor;
 

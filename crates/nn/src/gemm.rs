@@ -10,6 +10,10 @@
 //! row/column strides, so `X^T` is just a stride swap — no materialised
 //! transpose anywhere on the hot path.
 //!
+//! A call runs its `MC`-row slabs one after another on the calling thread.
+//! Training parallelism is one thread per learner function, as in the
+//! paper, not threads inside a kernel.
+//!
 //! # Exactness contract
 //!
 //! The packed kernel is **bit-identical** to the retained naive reference
@@ -26,19 +30,8 @@
 //!
 //! The same argument makes `accumulate = true` (used by backward) exact: it
 //! merely seeds the accumulators with the existing C values.
-//!
-//! # Parallelism
-//!
-//! Row-slabs of `MC` rows are distributed over rayon when the FLOP count
-//! `m*n*k` crosses [`PAR_GEMM_FLOPS`]. Gating on FLOPs rather than output
-//! size (`m*n`) matters for tall-skinny products such as the policy head
-//! (`m*k` large, `n` tiny): their output is small but their work is not.
-//! Each slab repacks B independently — for `m/MC` slabs that costs
-//! `m/MC * k * n` extra copies, noise next to the `m*n*k` multiplies.
 
 use std::cell::RefCell;
-
-use rayon::prelude::*;
 
 /// Micro-kernel tile height (rows of A per register tile).
 pub const MR: usize = 4;
@@ -55,18 +48,6 @@ const MC: usize = 128;
 const KC: usize = 256;
 /// Columns of B per cache block (L3-resident packed B panel).
 const NC: usize = 4096;
-
-/// Parallelise when `m*n*k` (one multiply-add each) reaches this many FLOPs.
-/// The old heuristic gated on output size `m*n`, which kept tall-skinny
-/// products (policy-head shapes like `[4096,256]x[256,4]`) serial forever.
-pub const PAR_GEMM_FLOPS: usize = 1 << 20;
-
-/// Whether a `[m,k] x [k,n]` product is worth distributing over rayon.
-/// Saturating so absurd shapes cannot overflow the predicate.
-#[inline]
-pub fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
-    m.saturating_mul(n).saturating_mul(k) >= PAR_GEMM_FLOPS
-}
 
 /// Activation fused into the GEMM epilogue by
 /// [`crate::Tensor::matmul_bias_act`] and `Graph::dense`.
@@ -187,7 +168,7 @@ pub fn gemm_bias_act(a: MatRef<'_>, b: MatRef<'_>, bias: &[f32], act: FusedAct, 
 
 thread_local! {
     /// Reusable (packed-A, packed-B) scratch so warm GEMM calls allocate
-    /// nothing. Thread-local: each rayon worker packs into its own buffers.
+    /// nothing. Thread-local: each calling thread packs into its own buffers.
     static PACK_BUFS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -223,16 +204,8 @@ fn gemm_fused(
         return;
     }
 
-    if par_worthwhile(m, n, k) && m > MC {
-        c.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(blk, slab)| {
-                gemm_slab(a, b, blk * MC, slab, accumulate, bias, act);
-            });
-    } else {
-        for (blk, slab) in c.chunks_mut(MC * n).enumerate() {
-            gemm_slab(a, b, blk * MC, slab, accumulate, bias, act);
-        }
+    for (blk, slab) in c.chunks_mut(MC * n).enumerate() {
+        gemm_slab(a, b, blk * MC, slab, accumulate, bias, act);
     }
 }
 
@@ -490,25 +463,27 @@ mod tests {
     #[test]
     fn accumulate_adds_on_top_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let (m, k, n) = (13, 37, 29);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let seed = rand_vec(&mut rng, m * n);
-        let mut packed = seed.clone();
-        let mut naive = seed.clone();
-        gemm(
-            MatRef::new(&a, m, k),
-            MatRef::new(&b, k, n),
-            &mut packed,
-            true,
-        );
-        gemm_naive(
-            MatRef::new(&a, m, k),
-            MatRef::new(&b, k, n),
-            &mut naive,
-            true,
-        );
-        assert_bits_eq(&packed, &naive, "accumulate");
+        // One slab, then three `MC`-row slabs with a ragged tail.
+        for (m, k, n) in [(13, 37, 29), (2 * MC + 3, 37, 29)] {
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            let seed = rand_vec(&mut rng, m * n);
+            let mut packed = seed.clone();
+            let mut naive = seed.clone();
+            gemm(
+                MatRef::new(&a, m, k),
+                MatRef::new(&b, k, n),
+                &mut packed,
+                true,
+            );
+            gemm_naive(
+                MatRef::new(&a, m, k),
+                MatRef::new(&b, k, n),
+                &mut naive,
+                true,
+            );
+            assert_bits_eq(&packed, &naive, &format!("accumulate {m}x{k}x{n}"));
+        }
     }
 
     #[test]
@@ -557,18 +532,6 @@ mod tests {
                 assert_bits_eq(row, &fused[r * n..(r + 1) * n], "fused epilogue");
             }
         }
-    }
-
-    #[test]
-    fn par_threshold_keys_on_flops_not_output_size() {
-        // Policy-head shape: tiny output (m*n = 8192 was below the old
-        // m*n threshold of 16384) but 4.2M multiply-adds of work.
-        assert!(par_worthwhile(2048, 4, 512), "tall-skinny must parallelise");
-        assert!(!par_worthwhile(64, 64, 8), "small products stay serial");
-        assert!(
-            par_worthwhile(usize::MAX, usize::MAX, usize::MAX),
-            "saturates"
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    match cmd.as_str() {
+    let outcome = match cmd.as_str() {
         "train" => cmd_train(rest),
         "eval" => cmd_eval(rest),
         "simulate" => cmd_simulate(rest),
@@ -45,17 +45,21 @@ fn main() -> ExitCode {
             }
             println!("  {:<15} (continuous, diagnostic)", "PointMass");
             println!("  {:<15} (discrete, diagnostic)", "ChainMdp");
-            ExitCode::SUCCESS
+            Ok(())
         }
         "--help" | "-h" | "help" => {
             usage();
-            ExitCode::SUCCESS
+            Ok(())
         }
         other => {
             eprintln!("unknown command: {other}");
             usage();
-            ExitCode::FAILURE
+            Err(ExitCode::FAILURE)
         }
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -106,10 +110,32 @@ impl Flags {
         self.map.iter().any(|(n, _)| n == name)
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// The value of `--name` parsed as `T`, if given. A value that does not
+    /// parse is a usage error, never a silent fallback.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ExitCode> {
         self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    eprintln!("invalid value for --{name}: {v}");
+                    ExitCode::FAILURE
+                })
+            })
+            .transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ExitCode> {
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    /// Like [`Flags::num`] for a count of workers, which must be at least 1.
+    fn count(&self, name: &str, default: usize) -> Result<usize, ExitCode> {
+        match self.num(name, default)? {
+            0 => {
+                eprintln!("--{name} must be at least 1");
+                Err(ExitCode::FAILURE)
+            }
+            n => Ok(n),
+        }
     }
 }
 
@@ -121,13 +147,10 @@ fn parse_env(flags: &Flags) -> Result<EnvId, ExitCode> {
     })
 }
 
-fn cmd_train(args: &[String]) -> ExitCode {
+fn cmd_train(args: &[String]) -> Result<(), ExitCode> {
     let flags = Flags::parse(args);
-    let env = match parse_env(&flags) {
-        Ok(e) => e,
-        Err(c) => return c,
-    };
-    let seed = flags.num("seed", 1u64);
+    let env = parse_env(&flags)?;
+    let seed = flags.num("seed", 1u64)?;
     let mut cfg = TrainConfig::stellaris_scaled(env, seed);
     match flags.get("algo") {
         Some("impact") => cfg = cfg.with_impact(ImpactConfig::scaled()),
@@ -136,9 +159,9 @@ fn cmd_train(args: &[String]) -> ExitCode {
         }
         _ => {}
     }
-    cfg.rounds = flags.num("rounds", 15usize);
-    cfg.max_learners = flags.num("learners", cfg.max_learners);
-    cfg.n_actors = flags.num("actors", cfg.n_actors);
+    cfg.rounds = flags.num("rounds", 15usize)?;
+    cfg.max_learners = flags.count("learners", cfg.max_learners)?;
+    cfg.n_actors = flags.count("actors", cfg.n_actors)?;
     cfg.dynamic_actors = flags.has("dynamic-actors");
     cfg.dynamic_learners = flags.has("dynamic-learners");
     if flags.has("serverful") {
@@ -163,7 +186,7 @@ fn cmd_train(args: &[String]) -> ExitCode {
             }
             other => {
                 eprintln!("unknown rule: {other}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         };
         if rule.name() != "full-sync" {
@@ -197,7 +220,7 @@ fn cmd_train(args: &[String]) -> ExitCode {
     if let Some(path) = flags.get("csv") {
         if let Err(e) = std::fs::write(path, rows_to_csv(&result.rows)) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         println!("wrote {path}");
     }
@@ -211,36 +234,33 @@ fn cmd_train(args: &[String]) -> ExitCode {
         policy.load_snapshot(&result.final_snapshot);
         if let Err(e) = save_policy(&policy, &PathBuf::from(path)) {
             eprintln!("cannot write checkpoint {path}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         println!(
             "wrote trained checkpoint {path} (policy v{})",
             policy.version
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_eval(args: &[String]) -> ExitCode {
+fn cmd_eval(args: &[String]) -> Result<(), ExitCode> {
     let flags = Flags::parse(args);
-    let env_id = match parse_env(&flags) {
-        Ok(e) => e,
-        Err(c) => return c,
-    };
+    let env_id = parse_env(&flags)?;
     let Some(path) = flags.get("checkpoint") else {
         eprintln!("eval requires --checkpoint PATH");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     };
-    let episodes = flags.num("episodes", 5usize);
-    let seed = flags.num("seed", 0u64);
+    let episodes = flags.num("episodes", 5usize)?;
+    let seed = flags.num("seed", 0u64)?;
     let mut env = make_env(env_id, EnvConfig::default());
     env.reset(seed);
     let mut spec = PolicySpec::for_env(env.as_ref());
-    spec.hidden = flags.num("hidden", 64usize);
+    spec.hidden = flags.num("hidden", 64usize)?;
     let mut policy = PolicyNet::new(spec, 0);
     if let Err(e) = load_policy(&mut policy, &PathBuf::from(path)) {
         eprintln!("cannot load checkpoint: {e}");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     let reward = evaluate(&policy, env.as_mut(), episodes, seed);
     println!(
@@ -248,57 +268,54 @@ fn cmd_eval(args: &[String]) -> ExitCode {
         env_id.name(),
         policy.version
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The child half of the process pool protocol: connect back to the
 /// parent's listener and serve frames until told to stop. Spawned as
 /// `stellaris worker --connect ADDR --span-base N --max-frame BYTES` by
 /// [`stellaris::core::RemoteFleet`] / `ProcessPool`.
-fn cmd_worker(args: &[String]) -> ExitCode {
+fn cmd_worker(args: &[String]) -> Result<(), ExitCode> {
     use stellaris::serverless::WireStream;
     let flags = Flags::parse(args);
     let Some(addr) = flags.get("connect") else {
         eprintln!("worker requires --connect tcp:HOST:PORT or uds:PATH");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     };
-    let span_base = flags.num("span-base", 1u64 << 40);
-    let max_frame = flags.num("max-frame", stellaris::cache::frame::DEFAULT_MAX_FRAME);
+    let span_base = flags.num("span-base", 1u64 << 40)?;
+    let max_frame = flags.num("max-frame", stellaris::cache::frame::DEFAULT_MAX_FRAME)?;
     let stream = match WireStream::connect_addr(addr) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("worker cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
-    match stellaris::core::serve_worker(stream, span_base, max_frame) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // A vanished parent is a normal end of life for a worker; any
-            // other wire failure is worth a line on stderr.
-            eprintln!("worker exiting on wire error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    stellaris::core::serve_worker(stream, span_base, max_frame).map_err(|e| {
+        // A vanished parent is a normal end of life for a worker; any
+        // other wire failure is worth a line on stderr.
+        eprintln!("worker exiting on wire error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// Demo/diagnostic: run a tiny training job where the actor and learners
 /// are real child processes talking length-prefixed frames over TCP or
 /// unix-domain sockets, with optional seeded chaos on the learner path.
-fn cmd_remote(args: &[String]) -> ExitCode {
+fn cmd_remote(args: &[String]) -> Result<(), ExitCode> {
     use stellaris::core::RemoteFleet;
     use stellaris::serverless::{ProcessConfig, WireTransport};
     let flags = Flags::parse(args);
     let name = flags.get("env").unwrap_or("PointMass");
     let Some(env) = EnvId::parse(name) else {
         eprintln!("unknown environment: {name} (try `stellaris envs`)");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     };
-    let seed = flags.num("seed", 1u64);
+    let seed = flags.num("seed", 1u64)?;
     let mut cfg = TrainConfig::test_tiny(env, seed);
-    cfg.rounds = flags.num("rounds", cfg.rounds);
-    cfg.max_learners = flags.num("learners", cfg.max_learners);
-    if let Some(chaos_seed) = flags.get("chaos").and_then(|v| v.parse().ok()) {
+    cfg.rounds = flags.num("rounds", cfg.rounds)?;
+    cfg.max_learners = flags.count("learners", cfg.max_learners)?;
+    if let Some(chaos_seed) = flags.parsed("chaos")? {
         cfg = cfg.with_chaos(chaos_seed);
     }
     let mut proc_cfg = ProcessConfig::default();
@@ -308,14 +325,14 @@ fn cmd_remote(args: &[String]) -> ExitCode {
         Some("uds") => proc_cfg.transport = WireTransport::Uds,
         Some(other) => {
             eprintln!("unknown transport: {other} (expected tcp or uds)");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
     let program = match std::env::current_exe() {
         Ok(p) => p.display().to_string(),
         Err(e) => {
             eprintln!("cannot resolve own executable for worker spawning: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     println!(
@@ -350,16 +367,16 @@ fn cmd_remote(args: &[String]) -> ExitCode {
                 f.retries,
                 f.exhausted
             );
-            ExitCode::SUCCESS
+            Ok(())
         }
         Err(e) => {
             eprintln!("remote fleet failed: {e}");
-            ExitCode::FAILURE
+            Err(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_simulate(args: &[String]) -> ExitCode {
+fn cmd_simulate(args: &[String]) -> Result<(), ExitCode> {
     let flags = Flags::parse(args);
     let mut cfg = if flags.has("sync") {
         SimConfig::sync_serverful_paper_mujoco()
@@ -373,7 +390,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         cfg.timing = TimingProfile::atari_v100();
         cfg.minibatch = 256;
     }
-    cfg.rounds = flags.num("rounds", cfg.rounds);
+    cfg.rounds = flags.num("rounds", cfg.rounds)?;
     println!(
         "simulating {} rounds at paper scale ({} actors, {} learner slots, {:?})...",
         cfg.rounds, cfg.n_actors, cfg.max_learners, cfg.billing
@@ -389,5 +406,5 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         r.mean_staleness(),
         r.updates
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

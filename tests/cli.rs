@@ -109,3 +109,49 @@ fn unknown_env_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown environment"));
 }
+
+/// Runs a command that must be refused as a usage error: exit code 1 (not a
+/// panic's 101) and a stderr line naming the offending flag.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{args:?}: {stderr}");
+}
+
+#[test]
+fn zero_worker_counts_are_usage_errors() {
+    let train = ["train", "--env", "PointMass", "--rounds", "1"];
+    let cases: [(&[&str], &str); 4] = [
+        (&["--rule", "sync", "--actors", "0"], "--actors"),
+        (&["--actors", "0"], "--actors"),
+        (&["--learners", "0"], "--learners"),
+        (&["--rule", "sync", "--learners", "0"], "--learners"),
+    ];
+    for (extra, flag) in cases {
+        assert_usage_error(&[&train[..], extra].concat(), flag);
+    }
+    assert_usage_error(
+        &["remote", "--rounds", "1", "--learners", "0"],
+        "--learners",
+    );
+}
+
+#[test]
+fn unparsable_numbers_are_usage_errors() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["train", "--env", "PointMass", "--rounds", "abc"],
+            "--rounds",
+        ),
+        (
+            &["train", "--env", "PointMass", "--actors", "-2"],
+            "--actors",
+        ),
+        (&["simulate", "--rounds", "1.5"], "--rounds"),
+        (&["eval", "--checkpoint", "x.ckpt", "--seed", "s"], "--seed"),
+    ];
+    for (args, flag) in cases {
+        assert_usage_error(args, flag);
+    }
+}
