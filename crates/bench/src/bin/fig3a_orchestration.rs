@@ -1,11 +1,14 @@
-//! Fig. 3(a): dynamic learner orchestration characterisation — total
-//! learning time and GPU utilisation over a learners x actors grid
-//! (PPO, Hopper). More learners cut learning time at high actor counts but
-//! waste GPU at low counts, motivating dynamic learner allocation.
+//! Fig. 3(a): dynamic learner orchestration characterisation — learning
+//! time and GPU utilisation over a learners x actors grid (PPO, Hopper).
+//! Learning time is the round wall time the stage attribution blames on
+//! gradient compute (gemm/backward), per round. More learners cut
+//! learning time at high actor counts but waste GPU at low counts,
+//! motivating dynamic learner allocation.
 
 use stellaris_bench::{banner, write_csv, ExpOpts};
-use stellaris_core::{frameworks, train};
+use stellaris_core::frameworks;
 use stellaris_envs::EnvId;
+use stellaris_telemetry::Stage;
 
 fn main() {
     let _telemetry = stellaris_bench::telemetry_from_env();
@@ -21,12 +24,12 @@ fn main() {
     } else {
         (vec![1usize, 2, 4], vec![2usize, 4, 8])
     };
-    let mut csv = String::from("learners,actors,learning_time_s,gpu_utilization\n");
+    let mut csv = String::from("learners,actors,learning_ms_per_round,gpu_utilization\n");
     stellaris_bench::progress!(
         "  {:>8} {:>7} {:>17} {:>16}",
         "learners",
         "actors",
-        "learning-time(s)",
+        "learning(ms/rnd)",
         "gpu-utilization"
     );
     for &l in &learners {
@@ -37,15 +40,19 @@ fn main() {
             cfg.n_actors = a;
             cfg.rounds = opts.rounds.unwrap_or(3);
             cfg.round_timesteps = a * cfg.actor_steps;
-            let res = train(&cfg);
+            let (res, attr) = stellaris_bench::train_attributed(&cfg);
+            let compute_us = attr
+                .stage_totals()
+                .get(&Stage::Compute)
+                .map_or(0, |b| b.blamed_us);
+            let learning_ms = compute_us as f64 / 1e3 / attr.rounds.len().max(1) as f64;
             stellaris_bench::progress!(
-                "  {l:>8} {a:>7} {:>17.2} {:>16.3}",
-                res.timers.gradient_s,
+                "  {l:>8} {a:>7} {learning_ms:>17.2} {:>16.3}",
                 res.gpu_utilization
             );
             csv.push_str(&format!(
-                "{l},{a},{:.3},{:.4}\n",
-                res.timers.gradient_s, res.gpu_utilization
+                "{l},{a},{learning_ms:.3},{:.4}\n",
+                res.gpu_utilization
             ));
         }
     }

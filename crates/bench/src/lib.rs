@@ -16,6 +16,7 @@ use std::path::PathBuf;
 
 use stellaris_core::{train, TrainConfig, TrainResult};
 use stellaris_envs::EnvId;
+use stellaris_telemetry::{attribute, AttrEvent, RunAttribution};
 
 /// Emits one human-readable progress line on **stderr** and mirrors it as a
 /// `bench.progress` telemetry instant event. Stdout is reserved for
@@ -105,6 +106,28 @@ pub fn telemetry_from_env() -> TelemetryGuard {
         stellaris_telemetry::enable();
     }
     TelemetryGuard { base }
+}
+
+/// Runs `train(cfg)` with tracing on and attributes its round windows to
+/// stages (the Fig. 14 breakdown). Events already in the global sink are
+/// set aside first, so only this run's rounds are attributed, and then fed
+/// back. When tracing was already on (`STELLARIS_TRACE` armed), this run's
+/// events are fed back too, so the [`TelemetryGuard`] dump holds every
+/// run; otherwise tracing is switched off again.
+pub fn train_attributed(cfg: &TrainConfig) -> (TrainResult, RunAttribution) {
+    let was_enabled = stellaris_telemetry::enabled();
+    let earlier = stellaris_telemetry::drain();
+    stellaris_telemetry::enable();
+    let res = train(cfg);
+    let events = stellaris_telemetry::drain();
+    let attr_events: Vec<AttrEvent> = events.iter().map(AttrEvent::from_event).collect();
+    stellaris_telemetry::ingest_events(earlier);
+    if was_enabled {
+        stellaris_telemetry::ingest_events(events);
+    } else {
+        stellaris_telemetry::disable();
+    }
+    (res, attribute(&attr_events))
 }
 
 /// Command-line options shared by all figure harnesses.

@@ -36,7 +36,7 @@ pub use aggregation::{AggregationRule, GradAccumulator, SspThrottle};
 pub use autoscale::LearnerAutoscaler;
 pub use config::{Algo, Deployment, LearnerMode, TrainConfig};
 pub use messages::GradientMsg;
-pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
+pub use metrics::{rows_to_csv, TrainRow};
 pub use orchestrator::{smooth, train, TrainResult, POLICY_KEY};
 pub use parameter::{ParameterServer, ShardLayout, ShardedParameterServer, StalenessRing};
 pub use remote::{

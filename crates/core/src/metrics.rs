@@ -1,18 +1,9 @@
-//! Training metrics: per-round rows (matching the artifact's CSV schema),
-//! component timers for the Fig. 14 latency breakdown, and CSV output.
+//! Training metrics: per-round rows (matching the artifact's CSV schema)
+//! and CSV output.
 //!
-//! The Fig. 14 breakdown is measured with telemetry spans: call sites open
-//! a [`Timers::span`] guard for a [`Component`], and on drop the elapsed
-//! time feeds (a) the per-run atomic counter behind [`TimerReport`],
-//! (b) the global `stellaris_core_latency_us_<component>` histogram, and
-//! (c) a `core.<component>` trace span when tracing is enabled.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-
-use stellaris_telemetry as telemetry;
-use stellaris_telemetry::Histogram;
+//! The Fig. 14 latency breakdown is not kept here: the engines open plain
+//! `core.<stage>` telemetry spans, and `stellaris_telemetry::attribution`
+//! blames each round's wall time on the stages those spans name.
 
 /// One training round's record. Columns mirror the paper artifact's output
 /// CSV: "training round index, round duration, number of learner functions
@@ -81,214 +72,6 @@ pub fn rows_to_csv(rows: &[TrainRow]) -> String {
     out
 }
 
-/// Thread-safe accumulating timers for the one-round latency breakdown
-/// (Fig. 14 components).
-#[derive(Debug, Default)]
-pub struct Timers {
-    /// Actor-environment sampling.
-    pub actor_sampling_us: AtomicU64,
-    /// Data-loader batching/staging (GAE, minibatching).
-    pub data_loading_us: AtomicU64,
-    /// Learner gradient computation.
-    pub gradient_us: AtomicU64,
-    /// Parameter-function aggregation + policy update.
-    pub aggregation_us: AtomicU64,
-    /// Serverless startup overhead (cold/warm starts).
-    pub startup_us: AtomicU64,
-    /// Policy/trajectory (de)serialisation + cache traffic.
-    pub cache_us: AtomicU64,
-}
-
-/// One component of the Fig. 14 latency breakdown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Component {
-    /// Actor-environment sampling.
-    ActorSampling,
-    /// Data-loader batching/staging (GAE, minibatching).
-    DataLoading,
-    /// Learner gradient computation.
-    Gradient,
-    /// Parameter-function aggregation + policy update.
-    Aggregation,
-    /// Serverless startup overhead (cold/warm starts).
-    Startup,
-    /// Policy/trajectory (de)serialisation + cache traffic.
-    Cache,
-}
-
-impl Component {
-    /// All components, in [`TimerReport`] field order.
-    pub const ALL: [Component; 6] = [
-        Component::ActorSampling,
-        Component::DataLoading,
-        Component::Gradient,
-        Component::Aggregation,
-        Component::Startup,
-        Component::Cache,
-    ];
-
-    /// Short snake_case component name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Component::ActorSampling => "actor_sampling",
-            Component::DataLoading => "data_loading",
-            Component::Gradient => "gradient",
-            Component::Aggregation => "aggregation",
-            Component::Startup => "startup",
-            Component::Cache => "cache",
-        }
-    }
-
-    /// Trace span name (`core.<component>`).
-    pub fn span_name(self) -> &'static str {
-        match self {
-            Component::ActorSampling => "core.actor_sampling",
-            Component::DataLoading => "core.data_loading",
-            Component::Gradient => "core.gradient",
-            Component::Aggregation => "core.aggregation",
-            Component::Startup => "core.startup",
-            Component::Cache => "core.cache",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Component::ActorSampling => 0,
-            Component::DataLoading => 1,
-            Component::Gradient => 2,
-            Component::Aggregation => 3,
-            Component::Startup => 4,
-            Component::Cache => 5,
-        }
-    }
-}
-
-/// Global per-component latency histograms, resolved once.
-fn component_histograms() -> &'static [Arc<Histogram>; 6] {
-    static HISTS: OnceLock<[Arc<Histogram>; 6]> = OnceLock::new();
-    HISTS.get_or_init(|| {
-        Component::ALL.map(|c| {
-            telemetry::global().histogram(&format!("stellaris_core_latency_us_{}", c.name()))
-        })
-    })
-}
-
-/// RAII guard from [`Timers::span`]: on drop, the elapsed time is added to
-/// the run's [`Timers`] counter, recorded into the component's global
-/// latency histogram, and emitted as a `core.<component>` trace span.
-#[must_use = "a component span records its duration when dropped"]
-pub struct ComponentSpan<'a> {
-    timers: &'a Timers,
-    component: Component,
-    start_us: u64,
-    _trace: telemetry::SpanGuard,
-}
-
-impl Drop for ComponentSpan<'_> {
-    fn drop(&mut self) {
-        let elapsed = telemetry::now_us().saturating_sub(self.start_us);
-        self.timers.add_us(self.component, elapsed);
-    }
-}
-
-impl Timers {
-    /// Adds a duration to a counter (saturating at `u64::MAX` µs rather
-    /// than truncating the 128-bit microsecond count).
-    pub fn add(counter: &AtomicU64, d: Duration) {
-        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        counter.fetch_add(us, Ordering::Relaxed);
-    }
-
-    fn counter(&self, c: Component) -> &AtomicU64 {
-        match c {
-            Component::ActorSampling => &self.actor_sampling_us,
-            Component::DataLoading => &self.data_loading_us,
-            Component::Gradient => &self.gradient_us,
-            Component::Aggregation => &self.aggregation_us,
-            Component::Startup => &self.startup_us,
-            Component::Cache => &self.cache_us,
-        }
-    }
-
-    /// Adds `us` microseconds to `c`'s counter and the matching global
-    /// latency histogram.
-    pub fn add_us(&self, c: Component, us: u64) {
-        self.counter(c).fetch_add(us, Ordering::Relaxed);
-        component_histograms()[c.index()].record(us);
-    }
-
-    /// Records a duration against a component (counter + histogram).
-    pub fn record(&self, c: Component, d: Duration) {
-        self.add_us(c, u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Opens a timing span for `c`: the returned guard accumulates its
-    /// lifetime into this `Timers` (feeding [`TimerReport`]) and emits a
-    /// trace span when tracing is enabled.
-    pub fn span(&self, c: Component) -> ComponentSpan<'_> {
-        ComponentSpan {
-            timers: self,
-            component: c,
-            start_us: telemetry::now_us(),
-            _trace: telemetry::span(c.span_name()),
-        }
-    }
-
-    /// Snapshot in seconds per component.
-    pub fn report(&self) -> TimerReport {
-        let s = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 / 1e6;
-        TimerReport {
-            actor_sampling_s: s(&self.actor_sampling_us),
-            data_loading_s: s(&self.data_loading_us),
-            gradient_s: s(&self.gradient_us),
-            aggregation_s: s(&self.aggregation_us),
-            startup_s: s(&self.startup_us),
-            cache_s: s(&self.cache_us),
-        }
-    }
-}
-
-/// Plain-number snapshot of [`Timers`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TimerReport {
-    /// Actor-environment sampling seconds.
-    pub actor_sampling_s: f64,
-    /// Data-loader seconds.
-    pub data_loading_s: f64,
-    /// Gradient computation seconds.
-    pub gradient_s: f64,
-    /// Aggregation seconds.
-    pub aggregation_s: f64,
-    /// Startup overhead seconds.
-    pub startup_s: f64,
-    /// Cache/serialisation seconds.
-    pub cache_s: f64,
-}
-
-impl TimerReport {
-    /// Total accounted time.
-    pub fn total(&self) -> f64 {
-        self.actor_sampling_s
-            + self.data_loading_s
-            + self.gradient_s
-            + self.aggregation_s
-            + self.startup_s
-            + self.cache_s
-    }
-
-    /// Overhead share: everything that is neither sampling nor gradient
-    /// compute (the paper's "<5% delay" claim covers these components).
-    pub fn overhead_fraction(&self) -> f64 {
-        let overhead = self.data_loading_s + self.aggregation_s + self.startup_s + self.cache_s;
-        let total = self.total();
-        if total <= 0.0 {
-            0.0
-        } else {
-            overhead / total
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,73 +103,5 @@ mod tests {
         let csv = rows_to_csv(&[row(), row()]);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("round,"));
-    }
-
-    #[test]
-    fn timers_accumulate_and_report() {
-        let t = Timers::default();
-        Timers::add(&t.gradient_us, Duration::from_millis(1500));
-        Timers::add(&t.gradient_us, Duration::from_millis(500));
-        Timers::add(&t.startup_us, Duration::from_millis(100));
-        let r = t.report();
-        assert!((r.gradient_s - 2.0).abs() < 1e-6);
-        assert!((r.startup_s - 0.1).abs() < 1e-6);
-        assert!((r.total() - 2.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn overhead_fraction_excludes_sampling_and_gradients() {
-        let r = TimerReport {
-            actor_sampling_s: 8.0,
-            gradient_s: 1.5,
-            data_loading_s: 0.2,
-            aggregation_s: 0.2,
-            startup_s: 0.05,
-            cache_s: 0.05,
-        };
-        assert!((r.overhead_fraction() - 0.5 / 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_timers_zero_fraction() {
-        assert_eq!(TimerReport::default().overhead_fraction(), 0.0);
-    }
-
-    #[test]
-    fn component_spans_feed_the_report() {
-        let t = Timers::default();
-        {
-            let _g = t.span(Component::Aggregation);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        t.record(Component::Cache, Duration::from_millis(3));
-        let r = t.report();
-        assert!(r.aggregation_s > 0.0, "{r:?}");
-        assert!((r.cache_s - 0.003).abs() < 1e-9, "{r:?}");
-        // The same samples land in the global latency histograms.
-        assert!(
-            stellaris_telemetry::global()
-                .histogram("stellaris_core_latency_us_cache")
-                .count()
-                >= 1
-        );
-    }
-
-    #[test]
-    fn saturating_duration_cast_never_truncates() {
-        let t = Timers::default();
-        // > u64::MAX microseconds: the old `as u64` cast wrapped this to a
-        // small number; now it saturates.
-        Timers::add(&t.startup_us, Duration::MAX);
-        assert_eq!(t.startup_us.load(Ordering::Relaxed), u64::MAX);
-    }
-
-    #[test]
-    fn component_names_are_stable() {
-        assert_eq!(Component::ALL.len(), 6);
-        for c in Component::ALL {
-            assert!(c.span_name().starts_with("core."));
-            assert!(c.span_name().ends_with(c.name()));
-        }
     }
 }

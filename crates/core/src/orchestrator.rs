@@ -43,7 +43,7 @@ use crate::aggregation::SspThrottle;
 use crate::autoscale::LearnerAutoscaler;
 use crate::config::{Algo, Deployment, LearnerMode, TrainConfig};
 use crate::messages::GradientMsg;
-use crate::metrics::{Component, TimerReport, Timers, TrainRow};
+use crate::metrics::TrainRow;
 use crate::parameter::ShardedParameterServer;
 use crate::transport::{Placement, Router};
 use crate::truncation::RatioBoard;
@@ -65,8 +65,6 @@ pub struct TrainResult {
     pub rows: Vec<TrainRow>,
     /// Staleness of every aggregated gradient (Fig. 3b data).
     pub staleness_log: Vec<u64>,
-    /// Component timers (Fig. 14 data).
-    pub timers: TimerReport,
     /// Final evaluation reward.
     pub final_reward: f32,
     /// Total cost in USD under the configured billing model.
@@ -280,7 +278,6 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
     let degraded_events = Arc::new(AtomicU64::new(0));
     let mut degraded_rounds = 0u64;
     let mut prev_degraded = 0u64;
-    let timers = Arc::new(Timers::default());
     let active_actors = Arc::new(AtomicUsize::new(if cfg.dynamic_actors {
         (cfg.n_actors / 2).max(1)
     } else {
@@ -293,6 +290,8 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
     let lambda = cfg.algo.gae_lambda();
 
     crossbeam::thread::scope(|s| {
+        // The actors, the data loader and the parameter thread.
+        let mut others = Vec::with_capacity(cfg.n_actors + 2);
         // ----- actors (Step ①) -------------------------------------------------
         for a in 0..cfg.n_actors {
             let cache = cache.clone();
@@ -301,7 +300,6 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let stop = stop.clone();
             let steps = steps.clone();
             let episodes = episodes.clone();
-            let timers = timers.clone();
             let active = active_actors.clone();
             let probe = probe_obs.clone();
             let target_steps = sample_target.clone();
@@ -309,7 +307,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let degraded = degraded_events.clone();
             let serverless_actor = cfg.deployment != Deployment::Serverful;
             let cfg = cfg.clone();
-            s.spawn(move |_| {
+            others.push(s.spawn(move |_| {
                 let mut worker = RolloutWorker::new(
                     make_env(cfg.env_id, cfg.env_cfg),
                     cfg.seed.wrapping_mul(1000).wrapping_add(a as u64),
@@ -333,7 +331,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         local.load_snapshot(&snap);
                     }
                     let mut collect = || {
-                        let _t = timers.span(Component::ActorSampling);
+                        let _t = telemetry::span("core.actor_sampling");
                         worker.collect(&local, cfg.actor_steps)
                     };
                     let batch = if serverless_actor {
@@ -366,18 +364,17 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     episodes.fetch_add(batch.episode_returns.len() as u64, Ordering::Relaxed);
                     traj_q.push(batch);
                 }
-            });
+            }));
         }
 
         // ----- GPU data loader (§V-B) ------------------------------------------
         {
             let traj_q = traj_q.clone();
             let work_q = work_q.clone();
-            let timers = timers.clone();
             let minibatch = cfg.minibatch;
-            s.spawn(move |_| {
+            others.push(s.spawn(move |_| {
                 while let Some(mut batch) = traj_q.pop() {
-                    let _t = timers.span(Component::DataLoading);
+                    let _t = telemetry::span("core.data_loading");
                     fill_gae(&mut batch, gamma, lambda);
                     batch.normalize_advantages();
                     for mb in batch.minibatches(minibatch) {
@@ -387,10 +384,11 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     }
                 }
                 work_q.close();
-            });
+            }));
         }
 
         // ----- learner workers (Step ②) ----------------------------------------
+        let mut learners = Vec::with_capacity(cfg.max_learners);
         for l in 0..cfg.max_learners {
             let cache = cache.clone();
             let platform = platform.clone();
@@ -399,12 +397,11 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let grad_q = grad_q.clone();
             let board = board.clone();
             let throttle = throttle.clone();
-            let timers = timers.clone();
             let server = server.clone();
             let autoscaler = autoscaler.clone();
             let degraded = degraded_events.clone();
             let cfg = cfg.clone();
-            s.spawn(move |_| {
+            learners.push(s.spawn(move |_| {
                 let mut local = build_policy(&cfg);
                 let mut impact_state: Option<ImpactLearner> = None;
                 // Names the gradient frame if the router ever routes it
@@ -428,13 +425,15 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         }
                         continue;
                     };
+                    #[cfg(test)]
+                    tests::inject_learner_panic(cfg.seed);
                     let token = throttle.as_ref().map(|t| t.begin(server.clock()));
                     // A retried invocation re-reads the *current* snapshot,
                     // so a straggler's re-execution carries fresh
                     // `base_version` — its residual staleness is exactly
                     // what the Eq. 3 threshold and Eq. 4 weight absorb.
                     let mut compute = || {
-                        let _t = timers.span(Component::Gradient);
+                        let _t = telemetry::span("core.gradient");
                         // An unreadable snapshot degrades this learner's
                         // wave instead of panicking the worker thread.
                         let snap = read_snapshot(&cache)?;
@@ -473,7 +472,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     };
                     let base_version = msg.base_version;
                     let sent = {
-                        let _t = timers.span(Component::Cache);
+                        let _t = telemetry::span("core.cache");
                         // Gradient submission crosses VMs (learner -> the
                         // parameter function's host) and is subject to
                         // frame drop/corruption with retry.
@@ -498,7 +497,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         }
                     }
                 }
-            });
+            }));
         }
 
         // ----- parameter function (Step ③) -------------------------------------
@@ -506,10 +505,9 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let cache = cache.clone();
             let grad_q = grad_q.clone();
             let server = server.clone();
-            let timers = timers.clone();
-            s.spawn(move |_| {
+            others.push(s.spawn(move |_| {
                 while let Some((msg, _base_version)) = grad_q.pop_any() {
-                    let _t = timers.span(Component::Aggregation);
+                    let _t = telemetry::span("core.aggregation");
                     let applied = server.offer(msg);
                     let clock = server.clock();
                     if applied > 0 {
@@ -520,7 +518,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     // each gradient's staleness at consumption time.
                     grad_q.advance_clock(clock);
                 }
-            });
+            }));
         }
 
         // ----- round control + evaluation ---------------------------------------
@@ -633,7 +631,23 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         // work_q is NOT closed here: the data loader closes it after
         // draining traj_q, so minibatches staged during shutdown still
         // reach the learners instead of being dropped by a closed queue.
+        // grad_q closes only once every learner has exited: a push onto a
+        // closed lane is a no-op, so closing it earlier would silently
+        // discard gradients the learners had already computed. Every other
+        // thread is joined explicitly too: the scope's own join can return
+        // before a thread's trace buffer has flushed on thread exit, so a
+        // `drain()` right after `train` would miss that thread's events.
+        // A panic is re-raised only once every thread has been joined (the
+        // parameter thread exits only after the close).
+        let mut panics: Vec<_> = learners
+            .into_iter()
+            .filter_map(|l| l.join().err())
+            .collect();
         grad_q.close();
+        panics.extend(others.into_iter().filter_map(|t| t.join().err()));
+        if let Some(panic) = panics.into_iter().next() {
+            std::panic::resume_unwind(panic);
+        }
     })
     // lint:allow(A8): deliberate re-panic — a child thread died and the run cannot continue
     // lint:allow(L1): re-raising a child thread's panic is the intended failure path
@@ -646,15 +660,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         degraded_rounds += 1;
     }
 
-    finalize(
-        cfg,
-        rows,
-        &server,
-        &platform,
-        &timers,
-        start,
-        degraded_rounds,
-    )
+    finalize(cfg, rows, &server, &platform, start, degraded_rounds)
 }
 
 // ---------------------------------------------------------------------------
@@ -679,7 +685,6 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
     let router = Router::with_faults(cache.clone(), faults);
     platform.prewarm(FunctionKind::Learner, n_learners);
     platform.prewarm(FunctionKind::Actor, cfg.n_actors);
-    let timers = Arc::new(Timers::default());
 
     let server = build_server(cfg);
     cache.put_obj(POLICY_KEY, &server.snapshot());
@@ -735,14 +740,13 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
                     .iter_mut()
                     .map(|w| {
                         let platform = platform.clone();
-                        let timers = timers.clone();
                         let snap = snap.clone();
                         let cfg2 = cfg.clone();
                         s.spawn(move |_| {
                             let mut local = build_policy(&cfg2);
                             local.load_snapshot(&snap);
                             let mut collect = || {
-                                let _t = timers.span(Component::ActorSampling);
+                                let _t = telemetry::span("core.actor_sampling");
                                 w.collect(&local, cfg2.actor_steps)
                             };
                             if serverless_actor {
@@ -787,7 +791,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
         // Data loader: GAE + minibatching.
         let mut minibatches: Vec<SampleBatch> = Vec::new();
         {
-            let _t = timers.span(Component::DataLoading);
+            let _t = telemetry::span("core.data_loading");
             for mut b in batches {
                 fill_gae(&mut b, gamma, lambda);
                 b.normalize_advantages();
@@ -818,13 +822,12 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
                     .enumerate()
                     .map(|(l, mb)| {
                         let platform = platform.clone();
-                        let timers = timers.clone();
                         let snap = snap.clone();
                         let cfg2 = cfg.clone();
                         let impact_slot = &impact_states[l];
                         s.spawn(move |_| {
                             let mut compute = || {
-                                let _t = timers.span(Component::Gradient);
+                                let _t = telemetry::span("core.gradient");
                                 let mut local = build_policy(&cfg2);
                                 let mut impact_state = impact_slot.lock().take();
                                 let msg = learner_compute(
@@ -889,7 +892,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
                         .map(|(_tier, d)| d.into_owned())
                 })
                 .collect();
-            let _agg = timers.span(Component::Aggregation);
+            let _agg = telemetry::span("core.aggregation");
             degraded_events += (wave_size - msgs.len()) as u64;
             for m in msgs {
                 server.offer(m);
@@ -956,15 +959,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
         rounds_total.inc();
     }
 
-    finalize(
-        cfg,
-        rows,
-        &server,
-        &platform,
-        &timers,
-        start,
-        degraded_rounds,
-    )
+    finalize(cfg, rows, &server, &platform, start, degraded_rounds)
 }
 
 fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreakdown {
@@ -990,23 +985,14 @@ fn finalize(
     rows: Vec<TrainRow>,
     server: &ShardedParameterServer,
     platform: &Platform,
-    timers: &Timers,
     start: Instant,
     degraded_rounds: u64,
 ) -> TrainResult {
     let wall = start.elapsed();
-    let mut timer_report = timers.report();
-    // Startup overhead + cache latency from the substrates' own accounting.
-    timer_report.startup_s = platform
-        .records()
-        .iter()
-        .map(|r| r.startup.as_secs_f64())
-        .sum();
     let (cold, _) = platform.start_counts();
     let final_reward = rows.last().map(|r| r.reward).unwrap_or(0.0);
     TrainResult {
         staleness_log: server.staleness_log().to_vec(),
-        timers: timer_report,
         final_reward,
         cost: cost_for(cfg, platform, wall),
         wall_time_s: wall.as_secs_f64(),
@@ -1048,6 +1034,37 @@ mod tests {
     use super::*;
     use crate::aggregation::AggregationRule;
     use stellaris_envs::EnvId;
+
+    /// Async runs with this seed panic every learner on its first minibatch.
+    const PANICKING_LEARNER_SEED: u64 = 0xdead_5eed;
+
+    pub(super) fn inject_learner_panic(seed: u64) {
+        if seed == PANICKING_LEARNER_SEED {
+            panic!("injected learner panic");
+        }
+    }
+
+    #[test]
+    fn async_learner_panic_reaches_the_caller() {
+        // Re-raising a learner's panic before the gradient queue closes
+        // would leave the parameter thread in `pop_any`, and the scope's
+        // join would hang the run instead of failing it.
+        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, PANICKING_LEARNER_SEED);
+        cfg.rounds = 1;
+        let run = std::thread::spawn(move || train(&cfg));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !run.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "train hung after a learner panic"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            run.join().is_err(),
+            "the learner's panic must reach the caller"
+        );
+    }
 
     #[test]
     fn async_tiny_run_completes_with_sane_metrics() {

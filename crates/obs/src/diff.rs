@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::jsonv::Value;
+use stellaris_telemetry::Value;
 
 /// Diff thresholds.
 #[derive(Clone, Copy, Debug)]
@@ -335,7 +335,7 @@ pub fn diff(a: &Value, b: &Value, opts: &DiffOptions) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonv;
+    use stellaris_telemetry::json;
 
     fn report(straggle_raw: u64, retries: u64, wall: f64) -> Value {
         let json = format!(
@@ -348,7 +348,7 @@ mod tests {
                {{\"round\":0,\"stages\":{{\"straggle\":{{\"blamed_us\":10,\"raw_us\":{straggle_raw}}},\
                  \"gemm/backward\":{{\"blamed_us\":50000,\"raw_us\":60000}}}}}}]}}}}"
         );
-        jsonv::parse(&json).unwrap_or(Value::Null)
+        json::parse(&json).unwrap_or(Value::Null)
     }
 
     #[test]
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn missing_keys_warn_instead_of_failing() {
         let a = report(0, 0, 1.0);
-        let b = jsonv::parse("{\"wall_time_s\":1.0}").unwrap_or(Value::Null);
+        let b = json::parse("{\"wall_time_s\":1.0}").unwrap_or(Value::Null);
         let d = diff(&a, &b, &DiffOptions::default());
         assert!(!d.warnings.is_empty());
     }
@@ -409,7 +409,7 @@ mod tests {
             "{{\"wire\":{{\"full_snapshot_bytes\":{full},\"delta_fraction\":{fraction}}},\
              \"scale\":{{\"speedup\":{speedup}}}}}"
         );
-        jsonv::parse(&json).unwrap_or(Value::Null)
+        json::parse(&json).unwrap_or(Value::Null)
     }
 
     const BENCH_KEYS: &[(&str, Direction)] = &[
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn bench_missing_keys_warn() {
         let a = bench(555048, 0.125, 5.4);
-        let b = jsonv::parse("{\"wire\":{\"full_snapshot_bytes\":1}}").unwrap_or(Value::Null);
+        let b = json::parse("{\"wire\":{\"full_snapshot_bytes\":1}}").unwrap_or(Value::Null);
         let d = diff_bench(&a, &b, &DiffOptions::default(), BENCH_KEYS);
         assert_eq!(d.deltas.len(), 1);
         assert_eq!(d.warnings.len(), 2);
@@ -477,10 +477,10 @@ mod tests {
 
     #[test]
     fn bench_paths_index_into_arrays() {
-        let a = jsonv::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":5.4}]}")
-            .unwrap_or(Value::Null);
-        let b = jsonv::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":2.0}]}")
-            .unwrap_or(Value::Null);
+        let a =
+            json::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":5.4}]}").unwrap_or(Value::Null);
+        let b =
+            json::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":2.0}]}").unwrap_or(Value::Null);
         let keys = [("scale.1.speedup", Direction::LowerWorse)];
         let d = diff_bench(&a, &b, &DiffOptions::default(), &keys);
         assert_eq!(d.deltas.len(), 1);

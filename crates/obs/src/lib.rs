@@ -11,26 +11,24 @@
 //!   regressions surface as named keys.
 //! * **[`dash`]** — the plain-text live dashboard panel the `obs` binary
 //!   tails while a sim runs.
-//! * **[`jsonv`]** — a minimal JSON value DOM for reading our own
-//!   artifacts back (reports, flight-recorder JSONL dumps).
 //!
-//! The flight recorder and the critical-path analyzer themselves live in
-//! `stellaris_telemetry::{recorder, attribution}` so every crate can feed
-//! them without a dependency cycle; this crate consumes their output.
+//! The flight recorder, the critical-path analyzer and the JSON reader
+//! ([`Value`]) live in `stellaris_telemetry::{recorder, attribution, json}`
+//! so every crate can use them without a dependency cycle; this crate
+//! consumes their output.
 
 #![warn(missing_docs)]
 
 pub mod dash;
 pub mod diff;
-pub mod jsonv;
 pub mod report;
 
 pub use dash::Dashboard;
 pub use diff::{diff, diff_bench, DiffOptions, DiffReport, Direction};
-pub use jsonv::Value;
 pub use report::{config_hash, maybe_write_report, RunReport, SloVerdict};
+pub use stellaris_telemetry::Value;
 
-use stellaris_telemetry::{attribution, AttrEvent};
+use stellaris_telemetry::{attribution, json, AttrEvent};
 
 /// Parses flight-recorder / trace JSONL text into analysis-ready events,
 /// skipping blank lines; fails on the first malformed line.
@@ -40,7 +38,7 @@ pub fn parse_jsonl_events(text: &str) -> Result<Vec<AttrEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = jsonv::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let name = v
             .get("name")
             .and_then(Value::as_str)

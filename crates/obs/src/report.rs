@@ -94,8 +94,6 @@ pub struct RunReport {
     pub cost_wasted_usd: f64,
     /// Injected faults by class, plus retries (flattened `FaultReport`).
     pub faults: Vec<(&'static str, u64)>,
-    /// Component timers, seconds (flattened `TimerReport`).
-    pub timers_s: Vec<(&'static str, f64)>,
     /// Staleness distribution summary.
     pub staleness: StalenessSummary,
     /// Trace events dropped by the telemetry sink during the run.
@@ -126,7 +124,6 @@ impl RunReport {
     /// e2e tests do; headless bench runs may pass `None`).
     pub fn new(cfg: &TrainConfig, res: &TrainResult, attribution: Option<RunAttribution>) -> Self {
         let f = &res.faults;
-        let t = &res.timers;
         let degraded_frac = if cfg.rounds == 0 {
             0.0
         } else {
@@ -187,14 +184,6 @@ impl RunReport {
                 ("frames_corrupted", f.frames_corrupted),
                 ("retries", f.retries),
                 ("exhausted", f.exhausted),
-            ],
-            timers_s: vec![
-                ("actor_sampling_s", t.actor_sampling_s),
-                ("data_loading_s", t.data_loading_s),
-                ("gradient_s", t.gradient_s),
-                ("aggregation_s", t.aggregation_s),
-                ("startup_s", t.startup_s),
-                ("cache_s", t.cache_s),
             ],
             staleness: StalenessSummary::from_log(&res.staleness_log),
             dropped_events: dropped,
@@ -272,14 +261,6 @@ impl RunReport {
                 out.push(',');
             }
             let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"timers_s\":{");
-        for (i, (k, v)) in self.timers_s.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":");
-            num(&mut out, *v);
         }
         let _ = write!(
             out,

@@ -96,13 +96,13 @@ impl Stage {
 }
 
 /// Maps a span name to its stage, or `None` for structural spans
-/// (`core.round` itself, startup, unknown names).
+/// (`core.round` itself, unknown names).
 pub fn stage_of(name: &str) -> Option<Stage> {
     match name {
         "core.round_wait" => Some(Stage::RoundGate),
         "core.eval" => Some(Stage::Eval),
         "cache.queue_pop" => Some(Stage::QueueWait),
-        "serverless.invoke" | "core.startup" => Some(Stage::Invoke),
+        "serverless.invoke" => Some(Stage::Invoke),
         "serverless.straggle" => Some(Stage::Straggle),
         "serverless.retry_backoff" => Some(Stage::Retry),
         "cache.queue_push" => Some(Stage::Enqueue),
@@ -608,7 +608,6 @@ mod tests {
             "core.eval",
             "cache.queue_pop",
             "serverless.invoke",
-            "core.startup",
             "serverless.straggle",
             "serverless.retry_backoff",
             "cache.queue_push",

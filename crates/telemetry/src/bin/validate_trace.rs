@@ -34,27 +34,11 @@
 use std::collections::HashSet;
 use std::process::ExitCode;
 
-use stellaris_telemetry::{validate_json, validate_prometheus};
+use stellaris_telemetry::{json, validate_json, validate_prometheus, Value};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("validate_trace: FAIL: {msg}");
     ExitCode::FAILURE
-}
-
-/// Extracts `"key":<digits>` from a JSONL event line. The writer emits
-/// bare unsigned integers for these structural keys, so a digit scan is
-/// exact (no string field can match: text values open with `"`).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
 }
 
 /// Reads one unlabelled `name value` sample from a Prometheus exposition.
@@ -91,58 +75,53 @@ fn main() -> ExitCode {
     let mut events = 0usize;
     let mut span_ids: HashSet<u64> = HashSet::new();
     let mut parents: Vec<(usize, u64)> = Vec::new();
+    let mut names: HashSet<String> = HashSet::new();
     for (i, line) in jsonl.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        if let Err(e) = validate_json(line) {
-            return fail(&format!("{jsonl_path}:{}: {e}", i + 1));
-        }
-        if !line.contains("\"name\":") {
-            return fail(&format!("{jsonl_path}:{}: event without name", i + 1));
-        }
+        let at = |msg: String| fail(&format!("{jsonl_path}:{}: {msg}", i + 1));
+        let event = match json::parse(line) {
+            Ok(v) => v,
+            Err(e) => return at(e),
+        };
+        let Some(name) = event.get("name").and_then(Value::as_str) else {
+            return at("event without name".into());
+        };
+        let field = |key: &str| event.get(key).and_then(Value::as_u64);
         let (Some(id), Some(parent), Some(ts), Some(dur)) = (
-            field_u64(line, "id"),
-            field_u64(line, "parent"),
-            field_u64(line, "ts_us"),
-            field_u64(line, "dur_us"),
+            field("id"),
+            field("parent"),
+            field("ts_us"),
+            field("dur_us"),
         ) else {
-            return fail(&format!(
-                "{jsonl_path}:{}: missing id/parent/ts_us/dur_us",
-                i + 1
-            ));
+            return at("missing id/parent/ts_us/dur_us".into());
         };
         if ts.checked_add(dur).is_none() {
-            return fail(&format!(
-                "{jsonl_path}:{}: ts_us + dur_us overflows u64",
-                i + 1
-            ));
+            return at("ts_us + dur_us overflows u64".into());
         }
-        let is_span = line.contains("\"type\":\"span\"");
-        if is_span {
+        if event.get("type").and_then(Value::as_str) == Some("span") {
             if !span_ids.insert(id) {
-                return fail(&format!("{jsonl_path}:{}: duplicate span id {id}", i + 1));
+                return at(format!("duplicate span id {id}"));
             }
         } else if dur != 0 {
-            return fail(&format!(
-                "{jsonl_path}:{}: instant with nonzero dur_us {dur}",
-                i + 1
-            ));
+            return at(format!("instant with nonzero dur_us {dur}"));
         }
         if parent != 0 {
             parents.push((i + 1, parent));
         }
-        if line.contains("\"name\":\"recorder.dump\"") {
-            if let Some(dropped) = field_u64(line, "dropped_events") {
-                if dropped > 0 {
-                    // lint:allow(L5): bin diagnostic channel
-                    eprintln!(
-                        "validate_trace: WARNING: ***** flight-recorder dump reports {dropped} \
-                         DROPPED trace events — the dump is incomplete *****"
-                    );
-                }
+        if name == "recorder.dump" {
+            let fields = event.get("fields");
+            let dropped = fields.and_then(|f| f.get("dropped_events")?.as_u64());
+            if let Some(dropped @ 1..) = dropped {
+                // lint:allow(L5): bin diagnostic channel
+                eprintln!(
+                    "validate_trace: WARNING: ***** flight-recorder dump reports {dropped} \
+                     DROPPED trace events — the dump is incomplete *****"
+                );
             }
         }
+        names.insert(name.to_owned());
         events += 1;
     }
     if events == 0 {
@@ -157,8 +136,7 @@ fn main() -> ExitCode {
         }
     }
     for name in &expect_spans {
-        let needle = format!("\"name\":\"{name}\"");
-        if !jsonl.contains(&needle) {
+        if !names.contains(name) {
             return fail(&format!("{jsonl_path}: no span named {name:?}"));
         }
     }

@@ -20,7 +20,9 @@
 //!   atomics.
 //!
 //! Metric names follow the `stellaris_<crate>_<name>` convention
-//! (DESIGN.md §8). Span names follow `<crate>.<operation>`.
+//! (DESIGN.md §8). Span names follow `<crate>.<operation>`. [`json`]
+//! holds the writers' string escaping and the workspace's one JSON reader
+//! ([`Value`]), shared by `validate_trace` and `stellaris-obs`.
 //!
 //! The crate is panic-free by construction: poisoned locks are recovered
 //! with [`std::sync::PoisonError::into_inner`], thread-local access during
@@ -34,7 +36,7 @@ pub mod recorder;
 pub mod trace;
 
 pub use attribution::{attribute, stage_of, AttrEvent, RunAttribution, Stage};
-pub use json::{escape_into, validate_json};
+pub use json::{escape_into, validate_json, Value};
 pub use metrics::{
     global, validate_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
 };

@@ -217,3 +217,27 @@ fn atari_cnn_path_runs() {
     assert!(result.policy_updates > 0);
     assert!(result.final_reward.is_finite());
 }
+
+#[test]
+fn async_shutdown_aggregates_every_computed_gradient() {
+    // With one round, the round ends as soon as the actors meet their step
+    // quota, usually while learners are still computing. Shutdown must
+    // still fold every gradient they computed: without faults nothing is
+    // lost, so each learner invocation is one aggregated gradient.
+    for run in 0..10 {
+        let mut cfg = TrainConfig::test_tiny(EnvId::SpaceInvaders, 9);
+        cfg.rounds = 1;
+        cfg.env_cfg = EnvConfig {
+            frame_size: 20,
+            max_steps: 60,
+        };
+        cfg.learner_mode = LearnerMode::Async {
+            rule: AggregationRule::PureAsync,
+        };
+        let result = train(&cfg);
+        assert_eq!(
+            result.grads_aggregated, result.learner_invocations,
+            "run {run}: computed gradients were lost at shutdown"
+        );
+    }
+}
